@@ -148,7 +148,7 @@ def cmd_diag(args) -> int:
         raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {cap}")
     basis = sector_basis(spec)
     M = assemble_matrix(build_hamiltonian(spec), basis)
-    s = eigensolve(M, compute_vectors=True, max_dim=cap)
+    s = eigensolve(M, compute_vectors=False, max_dim=cap)
     if args.format == "csv":
         lines = ["index,eigenvalue"]
         lines += [f"{i},{v:.11e}" for i, v in enumerate(s.eigenvalues)]

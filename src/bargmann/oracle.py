@@ -49,29 +49,28 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
     return SpinMatrices(s=sf, sx=sx, sy=sy, sz=sz)
 
 
-def _embed_pair(a: np.ndarray, b: np.ndarray, i: int, j: int, n: int, d: int) -> np.ndarray:
-    ops = [np.eye(d, dtype=np.complex128)] * n
-    ops[i] = a
-    ops[j] = b
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
 def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_ORACLE_DIM) -> np.ndarray:
+    """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b).
+
+    Each bond's three axis terms are summed on the sites a..b as
+    J S (x) I_mid (x) S, then embedded once between identities.
+    """
     dim = spec.dimension()
     if dim > max_dim:
         raise DimensionTooLarge(f"dimension {dim} exceeds cap {max_dim}")
     mats = spin_matrices(spec.spin, float(spec.hbar))
     axes = (mats.sx, mats.sy, mats.sz)
     d = int(2 * spec.spin) + 1
+    n = spec.n_sites
     H = np.zeros((dim, dim), dtype=np.complex128)
     for (i, j) in spec.bonds():
+        a, b = min(i, j), max(i, j)
+        mid = np.eye(d ** (b - a - 1))
+        h = np.zeros((d ** (b - a + 1),) * 2, dtype=np.complex128)
         for J, S in zip(spec.couplings, axes):
-            if J == 0.0:
-                continue
-            H += J * _embed_pair(S, S, i, j, spec.n_sites, d)
+            if J != 0.0:
+                h += J * np.kron(np.kron(S, mid), S)
+        H += np.kron(np.kron(np.eye(d ** a), h), np.eye(d ** (n - b - 1)))
     return H
 
 

@@ -76,6 +76,37 @@ class TestOracleHamiltonian:
         oracle_hamiltonian(ChainSpec(n_sites=2, spin=Fraction(1, 2),
                                      couplings=(1, 1, 1)), max_dim=4)
 
+    @pytest.mark.parametrize("n,s", [(6, Fraction(1, 2)), (4, Fraction(1)),
+                                     (4, Fraction(3, 2)), (3, Fraction(2))])
+    @pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+    def test_matches_per_axis_kron_reference(self, n, s, boundary):
+        spec = ChainSpec(n_sites=n, spin=s, couplings=(1.1, -0.7, 0.4),
+                         boundary=boundary, hbar=Fraction(3, 2))
+        ref = _per_axis_kron_oracle(spec)
+        H = oracle_hamiltonian(spec)
+        assert isinstance(H, np.ndarray) and H.shape == ref.shape
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _per_axis_kron_oracle(spec):
+    """One full-size np.kron chain per bond and axis: the construction the
+    per-bond oracle build replaced."""
+    mats = spin_matrices(spec.spin, float(spec.hbar))
+    d = int(2 * spec.spin) + 1
+    H = np.zeros((spec.dimension(),) * 2, dtype=np.complex128)
+    for (i, j) in spec.bonds():
+        for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
+            if J == 0.0:
+                continue
+            ops = [np.eye(d, dtype=np.complex128)] * spec.n_sites
+            ops[i] = S
+            ops[j] = S
+            out = ops[0]
+            for op in ops[1:]:
+                out = np.kron(out, op)
+            H += J * out
+    return H
+
 
 class TestBasisIsomorphism:
     def test_single_site_examples(self):

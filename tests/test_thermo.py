@@ -6,9 +6,11 @@ import pytest
 
 from bargmann.algebra import MultiIndex, PolynomialState, w_var, z_var
 from bargmann.chain import ChainSpec, assemble_matrix, build_hamiltonian, sector_basis
+from bargmann.dsl import parse
 from bargmann.errors import DimensionTooLarge, NotHermitian, NotNormalized
 from bargmann.thermo import (
     Spectrum,
+    _components,
     eigensolve,
     husimi_q,
     partition_function,
@@ -70,6 +72,117 @@ class TestEigensolve:
         s = eigensolve(np.zeros((3, 3)))
         assert not s.eigenvalues.any()
         assert s.residual_bound == 0.0
+
+
+def _chain_matrix(n, s, couplings, boundary="open", mode="compositional"):
+    spec = ChainSpec(n_sites=n, spin=s, couplings=couplings, boundary=boundary, mode=mode)
+    return assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+
+
+def _complex_dsl_matrix():
+    """i (z0 w1 dw0 dz1 - w0 z1 dz0 dw1) + z0 dz0 + w2 dw2 / 2 on three spin-1 sites."""
+    op = parse("(0,1)*z[0]*w[1]*dw[0]*dz[1] + (0,-1)*w[0]*z[1]*dz[0]*dw[1]"
+               " + z[0]*dz[0] + (1/2)*w[2]*dw[2]")
+    spec = ChainSpec(n_sites=3, spin=Fraction(1), couplings=(0, 0, 0))
+    return assemble_matrix(op, sector_basis(spec))
+
+
+def _random_hermitian(n, seed=3):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (A + A.conj().T) / 2
+
+
+BLOCKED_CASES = {
+    "xxz": lambda: _chain_matrix(6, Fraction(1, 2), (1, 1, 0.5), "periodic"),
+    "xyz": lambda: _chain_matrix(4, Fraction(1), (1, 0.7, 0.3)),
+    "xxx": lambda: _chain_matrix(3, Fraction(3, 2), (1, 1, 1), "periodic"),
+    "paper_literal": lambda: _chain_matrix(3, Fraction(1), (1.1, -0.7, 0.4), "periodic",
+                                           "paper_literal"),
+    "jx_eq_minus_jy": lambda: _chain_matrix(6, Fraction(1, 2), (1, -1, 0.5), "periodic"),
+    "complex_dsl": _complex_dsl_matrix,
+    "dense_random": lambda: _random_hermitian(30),
+    "diagonal": lambda: np.diag(np.random.default_rng(5).normal(size=20)),
+    "empty": lambda: np.zeros((0, 0)),
+    "single": lambda: np.array([[2.5]]),
+}
+
+
+class TestBlockedEigensolve:
+    """The blocked solve against np.linalg.eigvalsh of the full complex matrix."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_matches_unblocked(self, case):
+        H = BLOCKED_CASES[case]()
+        A = H.toarray() if hasattr(H, "toarray") else H
+        A = np.asarray(A, dtype=np.complex128)
+        n = A.shape[0]
+        ref = np.linalg.eigvalsh(A)
+        scale = np.abs(ref).max(initial=0.0)
+        for vectors in (False, True):
+            s = eigensolve(H, compute_vectors=vectors)
+            assert s.eigenvalues.shape == (n,)
+            assert np.abs(s.eigenvalues - ref).max(initial=0.0) <= 1e-12 * scale
+        V = s.eigenvectors
+        assert V.shape == (n, n)
+        assert np.abs(V.conj().T @ V - np.eye(n)).max(initial=0.0) <= 1e-12
+        residual = np.linalg.norm(A @ V - V * s.eigenvalues, axis=0)
+        assert residual.max(initial=0.0) <= s.residual_bound + 1e-14 * np.abs(A).max(initial=0.0)
+
+    def test_complex_case_is_complex(self):
+        M = _complex_dsl_matrix()
+        assert np.abs(M.toarray().imag).max() > 0
+        assert np.iscomplexobj(eigensolve(M).eigenvectors)
+
+    def test_block_counts(self):
+        xyz = _chain_matrix(6, Fraction(1, 2), (1, -0.9, 0.5), "periodic").toarray()
+        cancel = _chain_matrix(6, Fraction(1, 2), (1, -1, 0.5), "periodic").toarray()
+        assert len(np.unique(_components(xyz))) == 2            # parity of total m
+        assert len(np.unique(_components(cancel))) > 2
+        assert len(np.unique(_components(_random_hermitian(30)))) == 1
+        assert len(np.unique(_components(np.diag(np.arange(1.0, 21.0))))) == 20
+
+    def test_one_sided_entry_within_tolerance_joins_blocks(self):
+        H = np.diag([1.0, 2.0, 3.0, 4.0])
+        H[0, 3] = 1e-12
+        s = eigensolve(H)
+        residual = np.linalg.norm(H @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
+        assert residual.max() <= s.residual_bound + 1e-15
+        assert s.residual_bound > 0
+
+
+class TestBlockedGates:
+    def test_asymmetry_inside_one_block(self):
+        H = np.zeros((3, 3))
+        H[:2, :2] = [[0.0, 1.0], [1.5, 0.0]]
+        H[2, 2] = 2.0
+        with pytest.raises(NotHermitian):
+            eigensolve(H)
+
+    def test_one_sided_entry_across_blocks(self):
+        H = np.diag([1.0, 2.0, 3.0, 4.0])
+        H[0, 3] = 0.5
+        with pytest.raises(NotHermitian):
+            eigensolve(H)
+
+    def _shifted_eigh(self, monkeypatch, eps):
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            w, v = real_eigh(a)
+            return w + eps, v
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    def test_residual_cap_uses_full_dimension_and_scale(self, monkeypatch):
+        # eight 1x1 blocks; the cap is 1e-8 * 100 * 8 = 8e-6, while any one
+        # block's own size and entry would give at most 1e-6
+        H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
+        self._shifted_eigh(monkeypatch, 5e-6)
+        assert eigensolve(H).residual_bound == pytest.approx(5e-6)
+        self._shifted_eigh(monkeypatch, 1e-5)
+        with pytest.raises(RuntimeError, match="exceeds 8.000e-06"):
+            eigensolve(H)
 
 
 class TestPartitionFunction:

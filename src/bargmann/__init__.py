@@ -40,6 +40,7 @@ from .chain import (
 )
 from .dsl import ExponentOverflow, ParseError, SourceSpan, format_operator, parse
 from .errors import (
+    AmplitudeOverflow,
     DimensionMismatch,
     DimensionTooLarge,
     NotHermitian,

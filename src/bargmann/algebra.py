@@ -14,12 +14,15 @@ matrix elements, where square roots of factorial ratios are unavoidable.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
+
+from .errors import AmplitudeOverflow
 
 
 class Flavor(IntEnum):
@@ -227,6 +230,11 @@ class OperatorPolynomial:
         return cls({(EMPTY_INDEX, EMPTY_INDEX): RationalComplex.from_value(scale)})
 
     @classmethod
+    def sum(cls, polys: Iterable["OperatorPolynomial"]) -> "OperatorPolynomial":
+        """Sum of the polynomials, with the canonical map built once."""
+        return cls(itertools.chain.from_iterable(p._terms.items() for p in polys))
+
+    @classmethod
     def from_terms(cls, terms: Iterable) -> "OperatorPolynomial":
         acc = []
         for t in terms:
@@ -383,7 +391,7 @@ def apply_term(t: OperatorTerm, m: MultiIndex):
     derivative order exceeds the available exponent (annihilation).
     The amplitude is coeff * prod_v sqrt(n_v! n'_v!)/(n_v - r_v)! with the
     factorial ratio computed in exact integer arithmetic before the square
-    root.
+    root.  Raises AmplitudeOverflow when the amplitude is not finite.
     """
     exps = dict(m._map)
     num = 1
@@ -401,8 +409,28 @@ def apply_term(t: OperatorTerm, m: MultiIndex):
             exps[v] = n_new
         else:
             exps.pop(v, None)
-    amp = t.coeff.to_complex() * math.sqrt(num / den)
+    try:
+        root = math.sqrt(num / den)
+    except OverflowError:
+        root = _sqrt_huge_ratio(num, den)
+    try:
+        amp = t.coeff.to_complex() * root
+    except OverflowError:  # the coefficient itself is beyond the float range
+        amp = complex(math.inf)
+    if not cmath.isfinite(amp):
+        raise AmplitudeOverflow(f"amplitude of a term acting on {m!r} is beyond the float range")
     return MultiIndex._from_dict(exps), amp
+
+
+def _sqrt_huge_ratio(num: int, den: int) -> float:
+    """sqrt(num/den) for a quotient beyond the float range: num/den is
+    rescaled by an exact power of 4 first.  Returns inf when the root
+    overflows too."""
+    e = (num.bit_length() - den.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(num / (den << 2 * e)), e)
+    except OverflowError:
+        return math.inf
 
 
 def apply(A: OperatorPolynomial, s: PolynomialState, drop_tol: float = 0.0) -> PolynomialState:

@@ -85,11 +85,8 @@ def j_operator(site: int, kind: str, hbar=1) -> OperatorPolynomial:
     if k == "-":
         return OperatorPolynomial({(w, z): RationalComplex(h)})
     # squared
-    total = OperatorPolynomial.zero()
-    for axis in ("x", "y", "z"):
-        c = j_operator(site, axis, h)
-        total = total + compose(c, c)
-    return total
+    axes = [j_operator(site, axis, h) for axis in ("x", "y", "z")]
+    return OperatorPolynomial.sum(compose(c, c) for c in axes)
 
 
 def total_operator(kind: str, sites: Iterable[int], hbar=1) -> OperatorPolynomial:
@@ -103,17 +100,10 @@ def total_operator(kind: str, sites: Iterable[int], hbar=1) -> OperatorPolynomia
     h = Fraction(hbar)
     k = _canonical_kind(kind)
     if k != "2":
-        out = OperatorPolynomial.zero()
-        for s in sites:
-            out = out + j_operator(s, k, h)
-        return out
-    total = OperatorPolynomial.zero()
-    for axis in ("x", "y", "z"):
-        comp = OperatorPolynomial.zero()
-        for s in sites:
-            comp = comp + j_operator(s, axis, h)
-        total = total + compose(comp, comp)
-    return total
+        return OperatorPolynomial.sum(j_operator(s, k, h) for s in sites)
+    comps = [OperatorPolynomial.sum(j_operator(s, axis, h) for s in sites)
+             for axis in ("x", "y", "z")]
+    return OperatorPolynomial.sum(compose(c, c) for c in comps)
 
 
 def jm_label(alpha: int, beta: int) -> JmLabel:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,19 +112,28 @@ class SectorBasis:
     """Ordered monomial basis of the spin-s sector.
 
     States are ordered lexicographically in the per-site magnetization
-    m_i = (alpha_i - beta_i)/2 running -s..+s, site 0 slowest.
+    m_i = (alpha_i - beta_i)/2 running -s..+s, site 0 slowest, so the state
+    with z-exponents (a_0, ..., a_{N-1}) has index sum_i a_i (2s+1)**(N-1-i).
+    `len` is that closed form; `states` and the index behind `index_of` are
+    built on first use.
     """
 
-    states: tuple[MultiIndex, ...]
     spin: Fraction
     n_sites: int
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.states)})
 
     def __len__(self):
-        return len(self.states)
+        return int(2 * self.spin + 1) ** self.n_sites
+
+    @cached_property
+    def states(self) -> tuple[MultiIndex, ...]:
+        twos = int(2 * self.spin)
+        sites = range(self.n_sites)
+        return tuple(_sector_monomial(sites, digits, twos)
+                     for digits in itertools.product(range(twos + 1), repeat=self.n_sites))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {m: i for i, m in enumerate(self.states)}
 
     def index_of(self, m: MultiIndex) -> int:
         try:
@@ -132,18 +142,19 @@ class SectorBasis:
             raise SectorViolation(f"{m!r} is not a sector basis state") from None
 
 
+def _sector_monomial(sites, digits, twos: int) -> MultiIndex:
+    """z_i**a_i w_i**(2s-a_i) over the given sites, a_i taken from `digits`."""
+    exps = {}
+    for site, a in zip(sites, digits):
+        if a:
+            exps[z_var(site)] = a
+        if twos - a:
+            exps[w_var(site)] = twos - a
+    return MultiIndex(exps)
+
+
 def sector_basis(spec: ChainSpec) -> SectorBasis:
-    twos = int(2 * spec.spin)
-    states = []
-    for digits in itertools.product(range(twos + 1), repeat=spec.n_sites):
-        exps = {}
-        for site, a in enumerate(digits):
-            if a:
-                exps[z_var(site)] = a
-            if twos - a:
-                exps[w_var(site)] = twos - a
-        states.append(MultiIndex(exps))
-    return SectorBasis(tuple(states), spec.spin, spec.n_sites)
+    return SectorBasis(spec.spin, spec.n_sites)
 
 
 def site_magnetization(m: MultiIndex, site: int) -> Fraction:
@@ -156,14 +167,11 @@ def total_magnetization(m: MultiIndex, n_sites: int) -> Fraction:
 
 def _compositional_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
     h = spec.hbar
-    H = OperatorPolynomial.zero()
-    for (i, j) in spec.bonds():
-        for J, axis in zip(spec.couplings, ("x", "y", "z")):
-            if J == 0.0:
-                continue
-            prod = compose(j_operator(i, axis, h), j_operator(j, axis, h))
-            H = H + prod.scaled(Fraction(J))
-    return H
+    return OperatorPolynomial.sum(
+        compose(j_operator(i, axis, h), j_operator(j, axis, h)).scaled(Fraction(J))
+        for (i, j) in spec.bonds()
+        for J, axis in zip(spec.couplings, ("x", "y", "z"))
+        if J != 0.0)
 
 
 def _literal_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
@@ -224,28 +232,60 @@ def _check_sector_preserving(H: OperatorPolynomial):
 def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> sp.csr_matrix:
     """Sector matrix with entry (r, c) = <basis[r]|H|basis[c]>, sparse CSR.
 
+    A term touching k sites acts as a (2s+1)**k local matrix times the
+    identity on the other sites.  `apply_term` runs once on each local
+    monomial of those sites, and the local action is scattered over all
+    columns through the mixed-radix digits of the basis index.  Triplets are
+    ordered by column, then by term, as a loop over states and terms would
+    emit them, so duplicate entries are summed in the same order.  A term
+    touching a site outside the chain annihilates every sector state.
+
     Raises SectorViolation if a term changes any site's boson number.
     """
     _check_sector_preserving(H)
-    index = basis._index
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    terms = H.terms()
-    for col, ket in enumerate(basis.states):
-        for t in terms:
-            r = apply_term(t, ket)
+    n, d = basis.n_sites, int(2 * basis.spin) + 1
+    dim = len(basis)
+    columns = np.arange(dim)
+    place = d ** np.arange(n - 1, -1, -1)          # index weight of each site's digit
+    digits = columns[:, None] // place % d         # z-exponent of each site, per column
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    blocks: dict[tuple, tuple] = {}    # sites -> (local monomials, local state per column)
+    for t in H.terms():
+        sites = tuple(sorted({v.site for v in t.mult.variables() + t.deriv.variables()}))
+        if any(not 0 <= site < n for site in sites):
+            continue
+        if sites not in blocks:
+            local_digits = itertools.product(range(d), repeat=len(sites))
+            blocks[sites] = ([(a, _sector_monomial(sites, a, d - 1)) for a in local_digits],
+                             digits[:, list(sites)] @ (d ** np.arange(len(sites) - 1, -1, -1)))
+        monomials, local = blocks[sites]
+        alive = np.zeros(len(monomials), dtype=bool)
+        shift = np.zeros(len(monomials), dtype=np.int64)
+        amp = np.zeros(len(monomials), dtype=np.complex128)
+        for k, (a, m) in enumerate(monomials):
+            r = apply_term(t, m)
             if r is None:
                 continue
-            m2, amp = r
-            row = index.get(m2)
-            if row is None:
-                raise SectorViolation(f"term maps {ket!r} outside the sector")
-            rows.append(row)
-            cols.append(col)
-            vals.append(amp)
-    n = len(basis)
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.complex128)
+            m2, value = r
+            alive[k] = True
+            amp[k] = value
+            shift[k] = sum((m2.get(z_var(site)) - ai) * int(place[site])
+                           for site, ai in zip(sites, a))
+        keep = alive[local]
+        hit = local[keep]
+        cols.append(columns[keep])
+        rows.append(cols[-1] + shift[hit])
+        vals.append(amp[hit])
+    if cols:
+        cols_all = np.concatenate(cols)
+        order = np.argsort(cols_all, kind="stable")
+        triplets = (np.concatenate(vals)[order],
+                    (np.concatenate(rows)[order], cols_all[order]))
+    else:
+        triplets = ([], ([], []))
+    coo = sp.coo_matrix(triplets, shape=(dim, dim), dtype=np.complex128)
     return coo.tocsr()
 
 

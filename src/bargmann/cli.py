@@ -6,7 +6,8 @@ deterministic: identical inputs and seed produce byte-identical bytes.
 Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
-    2  malformed input (bad spec/state/points file, parse error, bad grid)
+    2  malformed input (bad spec/state/points file, parse error, bad grid,
+       an amplitude beyond the float range)
     3  requested dimension exceeds the cap (override: BARGMANN_MAX_DIM)
     4  sector violation (operator does not conserve per-site boson number)
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import random
 import sys
@@ -49,6 +49,7 @@ from .chain import (
 )
 from .dsl import ParseError, format_monomial, format_operator, parse, parse_monomial
 from .errors import (
+    AmplitudeOverflow,
     DimensionMismatch,
     DimensionTooLarge,
     NotHermitian,
@@ -58,6 +59,7 @@ from .errors import (
 from .oracle import compare_spectra, oracle_hamiltonian
 from .thermo import (
     MAX_DENSE_DIM,
+    _f17,
     eigensolve,
     husimi_q,
     spectrum_to_json,
@@ -73,14 +75,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIM_TOO_LARGE = 3
 EXIT_SECTOR_VIOLATION = 4
-
-
-def _f17(x: float) -> str:
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.16e}"
 
 
 def _max_dim() -> int:
@@ -366,7 +360,7 @@ def main(argv=None) -> int:
     except SectorViolation as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SECTOR_VIOLATION
-    except (NotNormalized, NotHermitian, DimensionMismatch) as e:
+    except (NotNormalized, NotHermitian, DimensionMismatch, AmplitudeOverflow) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BAD_INPUT
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:

@@ -19,3 +19,7 @@ class NotHermitian(ValueError):
 
 class NotNormalized(ValueError):
     """State norm is not 1 within tolerance."""
+
+
+class AmplitudeOverflow(ValueError):
+    """An amplitude or matrix element is beyond the float range."""

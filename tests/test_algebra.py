@@ -27,6 +27,7 @@ from bargmann.algebra import (
     z_var,
 )
 from bargmann.angular import j_operator
+from bargmann.errors import AmplitudeOverflow
 
 from conftest import act_unnormalized, multiindices, operator_polys, operator_terms, states
 
@@ -119,6 +120,38 @@ class TestApplyTerm:
         assert m2 == MultiIndex({Z0: 2})
         assert amp == pytest.approx(math.sqrt(2), rel=1e-15)
 
+    def test_quotient_in_float_range_unchanged(self):
+        # sqrt of the correctly rounded factorial quotient, bit for bit
+        t = OperatorTerm(RationalComplex(1), MultiIndex({Z0: 3}), MultiIndex({Z0: 1}))
+        for n in (1, 5, 40, 150):
+            _, amp = apply_term(t, MultiIndex({Z0: n}))
+            f = math.factorial
+            assert amp == math.sqrt(f(n) * f(n + 2) / f(n - 1) ** 2)
+
+    def test_factorial_quotient_beyond_float_range(self):
+        # (128!/64!)**3 ~ 2.8e379 overflows a float; its root ~ 5.3e189 does not
+        exps = {z_var(site): 64 for site in range(3)}
+        t = OperatorTerm(RationalComplex(1), MultiIndex(exps), EMPTY_INDEX)
+        m2, amp = apply_term(t, MultiIndex(exps))
+        assert m2 == MultiIndex({v: 128 for v in exps})
+        quotient = (math.factorial(128) // math.factorial(64)) ** 3
+        assert amp.imag == 0.0
+        assert amp.real == pytest.approx(math.isqrt(quotient << 400) / 2.0 ** 200, rel=1e-15)
+
+    def test_amplitude_beyond_float_range_raises(self):
+        t = OperatorTerm(RationalComplex(1), MultiIndex({Z0: 400}), EMPTY_INDEX)
+        with pytest.raises(AmplitudeOverflow):
+            apply_term(t, MultiIndex({Z0: 400}))
+        # finite root, but the coefficient pushes the product past the range
+        exps = {z_var(site): 64 for site in range(3)}
+        t = OperatorTerm(RationalComplex(10 ** 300), MultiIndex(exps), EMPTY_INDEX)
+        with pytest.raises(AmplitudeOverflow):
+            apply_term(t, MultiIndex(exps))
+        # the coefficient alone is beyond the range
+        t = OperatorTerm(RationalComplex(10 ** 400), MultiIndex({Z0: 1}), EMPTY_INDEX)
+        with pytest.raises(AmplitudeOverflow):
+            apply_term(t, MultiIndex({Z0: 1}))
+
 
 class TestApply:
     def test_j3_eigenstate(self):
@@ -195,6 +228,24 @@ def _assert_product_matches_sequential(a, b, exps):
         assert got == {}
     else:
         assert got == {expected[0]: expected[1]}
+
+
+class TestSum:
+    @given(st.lists(operator_polys(), max_size=5))
+    @settings(max_examples=60)
+    def test_equals_repeated_addition(self, polys):
+        want = OperatorPolynomial.zero()
+        for p in polys:
+            want = want + p
+        got = OperatorPolynomial.sum(polys)
+        assert got == want
+        assert list(got.items()) == list(want.items())
+
+    def test_cancellation(self):
+        a = single_term(Fraction(1, 3), {Z0: 1}, {W0: 1})
+        assert OperatorPolynomial.sum([a, -a]).is_zero()
+        assert OperatorPolynomial.sum([a, -a, a]) == a
+        assert OperatorPolynomial.sum([]).is_zero()
 
 
 class TestCompose:

@@ -224,6 +224,22 @@ class TestApply:
         assert cli.main(["apply", "--operator", "z[0]*dz[0]", "--state", state,
                          "--expect"]) == 2
 
+    def test_factorial_quotient_beyond_float_range(self, tmp_path, capsys):
+        mono = "z[0]^64 * z[1]^64 * z[2]^64"
+        state = write_state(tmp_path, [{"monomial": mono, "re": 1.0, "im": 0.0}])
+        assert cli.main(["apply", "--operator", mono, "--state", state]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["amplitudes"]
+        assert entry["monomial"] == "z[0]^128 * z[1]^128 * z[2]^128"
+        assert entry["re"] == pytest.approx(5.3e189, rel=1e-2)
+
+    def test_amplitude_overflow_exit_2(self, tmp_path, capsys):
+        # z^384 on z^64: the root of 448!/64! is ~1e451, beyond the float range
+        state = write_state(tmp_path, [{"monomial": "z[0]^64", "re": 1.0, "im": 0.0}])
+        op = " * ".join(["z[0]^64"] * 6)
+        assert cli.main(["apply", "--operator", op, "--state", state]) == 2
+        assert cli.main(["apply", "--operator", "(2^64)^64 * z[0]", "--state", state]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestHusimi:
     def test_vacuum(self, tmp_path, capsys):

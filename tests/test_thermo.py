@@ -286,6 +286,14 @@ class TestSerialization:
         assert obj["eigenvalues"] == pytest.approx([-0.75, 0.25, 0.25, 0.25])
         assert obj["residual_bound"] >= 0
 
+    def test_spectrum_json_non_finite_and_digits(self):
+        import json
+        s = Spectrum(np.array([-1.0 / 3.0, 2.0]), residual_bound=math.inf)
+        text = spectrum_to_json(s)
+        assert text == ('{"eigenvalues": [-3.3333333333333331e-01, 2.0000000000000000e+00], '
+                        '"residual_bound": Infinity}\n')
+        assert json.loads(text)["residual_bound"] == math.inf
+
 
 class TestHusimi:
     def test_vacuum_at_origin(self):

@@ -37,6 +37,7 @@ from .chain import (
     magnetization_blocks,
     mode_difference,
     sector_basis,
+    solve,
 )
 from .dsl import ExponentOverflow, ParseError, SourceSpan, format_operator, parse
 from .errors import (

@@ -497,12 +497,7 @@ def _term_products(a: OperatorTerm, b: OperatorTerm):
 
 def normal_order_product(a: OperatorTerm, b: OperatorTerm) -> OperatorPolynomial:
     """Product a*b rewritten with all derivatives to the right; exact."""
-    acc: dict = {}
-    for mult, deriv, c in _term_products(a, b):
-        key = (MultiIndex._from_dict(mult), MultiIndex._from_dict(deriv))
-        prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
-    return OperatorPolynomial(acc)
+    return compose(OperatorPolynomial.from_terms([a]), OperatorPolynomial.from_terms([b]))
 
 
 def compose(A: OperatorPolynomial, B: OperatorPolynomial) -> OperatorPolynomial:

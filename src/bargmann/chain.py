@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +30,8 @@ from .algebra import (
     z_var,
 )
 from .angular import j_operator
-from .errors import SectorViolation
+from .errors import DimensionTooLarge, SectorViolation
+from .thermo import MAX_DENSE_DIM, Spectrum, eigensolve
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -50,6 +52,11 @@ class ChainSpec:
         object.__setattr__(self, "spin", Fraction(self.spin))
         object.__setattr__(self, "hbar", Fraction(self.hbar))
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        n = self.n_sites
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral)
+                                       or isinstance(n, float) and n.is_integer()):
+            raise ValueError(f"n_sites must be an integer, got {n!r}")
+        object.__setattr__(self, "n_sites", int(n))
         if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
         twos = 2 * self.spin
@@ -79,8 +86,9 @@ class ChainSpec:
     def from_json(cls, obj: dict) -> "ChainSpec":
         spin = obj["spin"]
         spin = Fraction(spin) if isinstance(spin, str) else Fraction(spin)
+        n_sites = obj["n_sites"]
         return cls(
-            n_sites=int(obj["n_sites"]),
+            n_sites=int(n_sites) if isinstance(n_sites, str) else n_sites,
             spin=spin,
             couplings=(float(obj["jx"]), float(obj["jy"]), float(obj["jz"])),
             boundary=obj.get("boundary", OPEN),
@@ -287,6 +295,20 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> sp.csr_matrix:
         triplets = ([], ([], []))
     coo = sp.coo_matrix(triplets, shape=(dim, dim), dtype=np.complex128)
     return coo.tocsr()
+
+
+def solve(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
+    """Eigenvalues of the chain: sector basis, exact normal-ordered H, sector
+    matrix, eigensolve (no eigenvectors).
+
+    Raises DimensionTooLarge, before anything is built, when the sector
+    dimension exceeds `max_dim`.
+    """
+    if spec.dimension() > max_dim:
+        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {max_dim}")
+    basis = sector_basis(spec)
+    M = assemble_matrix(build_hamiltonian(spec), basis)
+    return eigensolve(M, compute_vectors=False, max_dim=max_dim)
 
 
 def magnetization_blocks(basis: SectorBasis) -> list[tuple[Fraction, list[int]]]:

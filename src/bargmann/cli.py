@@ -7,7 +7,7 @@ Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
     2  malformed input (bad spec/state/points file, parse error, bad grid,
-       an amplitude beyond the float range)
+       a negative trial count, an amplitude beyond the float range)
     3  requested dimension exceeds the cap (override: BARGMANN_MAX_DIM)
     4  sector violation (operator does not conserve per-site boson number)
 
@@ -40,11 +40,10 @@ from .chain import (
     PAPER_LITERAL,
     PERIODIC,
     ChainSpec,
-    assemble_matrix,
-    build_hamiltonian,
     mode_difference,
     sector_basis,
     site_magnetization,
+    solve,
     total_magnetization,
 )
 from .dsl import ParseError, format_monomial, format_operator, parse, parse_monomial
@@ -59,12 +58,12 @@ from .errors import (
 from .oracle import compare_spectra, oracle_hamiltonian
 from .thermo import (
     MAX_DENSE_DIM,
-    _f17,
     eigensolve,
     husimi_q,
     spectrum_to_json,
     thermo_sweep,
     thermo_to_csv,
+    to_json,
 )
 
 DEFAULT_SEED = 1729
@@ -114,14 +113,6 @@ def _load_state(path) -> PolynomialState:
     return PolynomialState(amps)
 
 
-def _state_json(s: PolynomialState) -> str:
-    rows = []
-    for m, a in s.items():
-        rows.append(f'{{"monomial": "{format_monomial(m)}", '
-                    f'"re": {_f17(a.real)}, "im": {_f17(a.imag)}}}')
-    return '{"amplitudes": [' + ", ".join(rows) + "]}"
-
-
 def cmd_basis(args) -> int:
     spec = _load_spec(args)
     basis = sector_basis(spec)
@@ -136,13 +127,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    spec = _load_spec(args)
-    cap = _max_dim()
-    if spec.dimension() > cap:
-        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {cap}")
-    basis = sector_basis(spec)
-    M = assemble_matrix(build_hamiltonian(spec), basis)
-    s = eigensolve(M, compute_vectors=False, max_dim=cap)
+    s = solve(_load_spec(args), _max_dim())
     if args.format == "csv":
         lines = ["index,eigenvalue"]
         lines += [f"{i},{v:.11e}" for i, v in enumerate(s.eigenvalues)]
@@ -168,54 +153,36 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_thermo(args) -> int:
-    spec = _load_spec(args)
-    cap = _max_dim()
-    if spec.dimension() > cap:
-        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {cap}")
-    grid = _parse_grid(args)
-    basis = sector_basis(spec)
-    M = assemble_matrix(build_hamiltonian(spec), basis)
-    s = eigensolve(M, compute_vectors=False, max_dim=cap)
-    points = thermo_sweep(s, grid)
+    s = solve(_load_spec(args), _max_dim())
+    points = thermo_sweep(s, _parse_grid(args))
     if args.format == "json":
-        rows = [f'{{"T": {_f17(p.temperature)}, "Z": {_f17(p.Z)}, '
-                f'"F": {_f17(p.free_energy)}, "S": {_f17(p.entropy)}, '
-                f'"E_mean": {_f17(p.mean_energy)}}}' for p in points]
-        _write_out(args, '{"points": [' + ", ".join(rows) + "]}\n")
+        rows = [{"T": p.temperature, "Z": p.Z, "F": p.free_energy, "S": p.entropy,
+                 "E_mean": p.mean_energy} for p in points]
+        _write_out(args, to_json({"points": rows}) + "\n")
     else:
         _write_out(args, thermo_to_csv(points))
     return EXIT_OK
 
 
 def _verify_once(spec: ChainSpec, tol: float, cap: int):
-    basis = sector_basis(spec)
-    M = assemble_matrix(build_hamiltonian(spec), basis)
-    sb = eigensolve(M, compute_vectors=False, max_dim=cap)
+    sb = solve(spec, cap)
     so = eigensolve(oracle_hamiltonian(spec, max_dim=cap), compute_vectors=False, max_dim=cap)
     return compare_spectra(sb, so, tol)
 
 
 def cmd_verify(args) -> int:
+    if args.random_trials < 0:
+        raise ValueError("random-trials must be >= 0")
     spec = _load_spec(args)
     cap = _max_dim()
-    if spec.dimension() > cap:
-        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {cap}")
     rep = _verify_once(spec, args.tol, cap)
     all_pass = rep.passed
-
-    parts = [f'"dimension": {rep.dimension}',
-             f'"tol": {_f17(rep.tol)}',
-             f'"max_abs_diff": {_f17(rep.max_abs_diff)}',
-             f'"passed": {"true" if rep.passed else "false"}',
-             f'"mode": "{spec.mode}"']
-    worst = ", ".join(f"[{i}, {_f17(a)}, {_f17(b)}, {_f17(d)}]" for i, a, b, d in rep.worst)
-    parts.append(f'"worst": [{worst}]')
+    report = {"dimension": rep.dimension, "tol": rep.tol, "max_abs_diff": rep.max_abs_diff,
+              "passed": rep.passed, "mode": spec.mode, "worst": rep.worst}
 
     if spec.mode == PAPER_LITERAL:
-        diff = mode_difference(spec)
-        terms = [format_operator(OP) for OP in _split_terms(diff)]
-        body = ", ".join(json.dumps(t) for t in terms)
-        parts.append(f'"term_difference": [{body}]')
+        report["term_difference"] = [format_operator(OP)
+                                     for OP in _split_terms(mode_difference(spec))]
 
     if args.random_trials:
         rng = random.Random(args.seed)
@@ -225,13 +192,11 @@ def cmd_verify(args) -> int:
             tspec = dataclasses.replace(spec, couplings=couplings)
             trep = _verify_once(tspec, args.tol, cap)
             all_pass = all_pass and trep.passed
-            cj = ", ".join(_f17(c) for c in couplings)
-            trials.append(f'{{"trial": {k}, "couplings": [{cj}], '
-                          f'"max_abs_diff": {_f17(trep.max_abs_diff)}, '
-                          f'"passed": {"true" if trep.passed else "false"}}}')
-        parts.append(f'"random_trials": [{", ".join(trials)}]')
+            trials.append({"trial": k, "couplings": couplings,
+                           "max_abs_diff": trep.max_abs_diff, "passed": trep.passed})
+        report["random_trials"] = trials
 
-    _write_out(args, "{" + ", ".join(parts) + "}\n")
+    _write_out(args, to_json(report) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
@@ -243,15 +208,15 @@ def cmd_apply(args) -> int:
     A = parse(args.operator, hbar=Fraction(args.hbar))
     state = _load_state(args.state)
     result = apply(A, state)
-    out = _state_json(result)
+    out = {"amplitudes": [{"monomial": format_monomial(m), "re": a.real, "im": a.imag}
+                          for m, a in result.items()]}
     if args.expect:
         if abs(state.norm() - 1.0) > 1e-10:
             raise NotNormalized(
                 f"expectation requested but state norm is {state.norm()!r}")
         e = inner_product(state, result)
-        out = (f'{{"state": {out}, "expectation": '
-               f'{{"re": {_f17(e.real)}, "im": {_f17(e.imag)}}}}}')
-    _write_out(args, out + "\n")
+        out = {"state": out, "expectation": {"re": e.real, "im": e.imag}}
+    _write_out(args, to_json(out) + "\n")
     return EXIT_OK
 
 
@@ -273,7 +238,7 @@ def cmd_husimi(args) -> int:
         variables = [_parse_var(v) for v in obj["variables"]]
     points = [[complex(float(c[0]), float(c[1])) for c in pt] for pt in obj["points"]]
     qs = husimi_q(state, points, variables)
-    _write_out(args, "[" + ", ".join(_f17(q) for q in qs) + "]\n")
+    _write_out(args, to_json(qs) + "\n")
     return EXIT_OK
 
 

@@ -16,9 +16,7 @@ import numpy as np
 from .algebra import MultiIndex, w_var, z_var
 from .chain import ChainSpec
 from .errors import DimensionMismatch, DimensionTooLarge, SectorViolation
-from .thermo import Spectrum
-
-MAX_ORACLE_DIM = 8192
+from .thermo import MAX_DENSE_DIM, Spectrum
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
     return SpinMatrices(s=sf, sx=sx, sy=sy, sz=sz)
 
 
-def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_ORACLE_DIM) -> np.ndarray:
+def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
     """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b).
 
     Each bond's three axis terms are summed on the sites a..b as

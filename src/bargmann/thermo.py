@@ -7,6 +7,7 @@ spectrum.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -179,14 +180,26 @@ def _f17(x: float) -> str:
     return f"{x:.16e}"
 
 
+def to_json(x) -> str:
+    """Deterministic JSON text: floats through `_f17`, dicts, lists and tuples
+    joined with ", " and ": ", everything else as `json.dumps` writes it."""
+    if isinstance(x, float):
+        return _f17(x)
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(to_json(v) for v in x) + "]"
+    return json.dumps(x)
+
+
 def _f12(x: float) -> str:
     return f"{x:.11e}"
 
 
 def spectrum_to_json(spec: Spectrum) -> str:
     """{"eigenvalues": [...], "residual_bound": f} with 17 significant digits."""
-    vals = ", ".join(_f17(float(x)) for x in spec.eigenvalues)
-    return f'{{"eigenvalues": [{vals}], "residual_bound": {_f17(spec.residual_bound)}}}\n'
+    return to_json({"eigenvalues": spec.eigenvalues.tolist(),
+                    "residual_bound": float(spec.residual_bound)}) + "\n"
 
 
 def thermo_to_csv(points: Iterable[ThermoPoint]) -> str:

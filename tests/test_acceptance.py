@@ -34,6 +34,7 @@ from bargmann.chain import (
     assemble_matrix,
     build_hamiltonian,
     sector_basis,
+    solve,
 )
 from bargmann.dsl import ParseError, format_operator, parse
 from bargmann.oracle import basis_isomorphism, compare_spectra, oracle_hamiltonian
@@ -131,11 +132,7 @@ def test_criterion_04_j1_multiplet():
 
 
 def _spectra_pair(spec: ChainSpec):
-    basis = sector_basis(spec)
-    sb = eigensolve(assemble_matrix(build_hamiltonian(spec), basis),
-                    compute_vectors=False)
-    so = eigensolve(oracle_hamiltonian(spec), compute_vectors=False)
-    return sb, so
+    return solve(spec), eigensolve(oracle_hamiltonian(spec), compute_vectors=False)
 
 
 def test_criterion_05_spectrum_equivalence():

@@ -28,9 +28,11 @@ from bargmann.chain import (
     magnetization_blocks,
     mode_difference,
     sector_basis,
+    solve,
     total_magnetization,
 )
-from bargmann.errors import SectorViolation
+from bargmann.errors import DimensionTooLarge, SectorViolation
+from bargmann.thermo import eigensolve
 
 couplings_st = st.tuples(*[st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 4))] * 3)
 
@@ -52,6 +54,13 @@ class TestChainSpec:
             ChainSpec(n_sites=2, spin=Fraction(1, 2), couplings=(1, float("inf"), 1))
         with pytest.raises(ValueError):
             ChainSpec(n_sites=2, spin=Fraction(1, 2), couplings=(1, 1, 1), mode="exact")
+
+    def test_n_sites_must_be_an_integer(self):
+        for n in (2.7, True, "2", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="n_sites must be an integer"):
+                ChainSpec(n_sites=n, spin=Fraction(1, 2), couplings=(1, 1, 1))
+        spec = ChainSpec(n_sites=2.0, spin=Fraction(1, 2), couplings=(1, 1, 1))
+        assert type(spec.n_sites) is int and spec.n_sites == 2
 
     def test_bonds(self):
         assert xxx_spec(4).bonds() == [(0, 1), (1, 2), (2, 3)]
@@ -222,3 +231,31 @@ class TestMagnetizationBlocks:
         basis = sector_basis(xxx_spec(2))
         ms = [total_magnetization(m, 2) for m in basis.states]
         assert ms == [Fraction(-1), Fraction(0), Fraction(0), Fraction(1)]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("spin,n", [(Fraction(1, 2), 4), (Fraction(1), 3),
+                                        (Fraction(3, 2), 3), (Fraction(2), 2)])
+    @pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("mode", [COMPOSITIONAL, PAPER_LITERAL])
+    def test_matches_hand_wired_pipeline(self, spin, n, boundary, mode):
+        spec = ChainSpec(n_sites=n, spin=spin, couplings=(1.0, 0.7, 0.3),
+                         boundary=boundary, mode=mode)
+        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+        expected = eigensolve(M, compute_vectors=False)
+        got = solve(spec)
+        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+        assert got.residual_bound == expected.residual_bound
+        assert got.eigenvectors is None
+
+    def test_cap_checked_before_building(self, monkeypatch):
+        import bargmann.chain as chainmod
+
+        def fail(*args):
+            raise AssertionError("assemble_matrix called beyond the cap")
+
+        monkeypatch.setattr(chainmod, "assemble_matrix", fail)
+        with pytest.raises(DimensionTooLarge, match="dimension 16 exceeds cap 8"):
+            solve(xxx_spec(4), max_dim=8)
+        with pytest.raises(DimensionTooLarge):
+            solve(xxx_spec(14))

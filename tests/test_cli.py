@@ -102,12 +102,19 @@ class TestDiag:
         assert cli.main(["diag", "--spec", str(missing)]) == 2
         assert cli.main(["diag", "--spec", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("n_sites", [2.7, True])
+    def test_non_integer_n_sites_exit_2(self, tmp_path, capsys, n_sites):
+        spec = write_spec(tmp_path, n_sites=n_sites)
+        assert cli.main(["diag", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_sites must be an integer, got {n_sites!r}\n"
+
     def test_sector_violation_exit_4(self, tmp_path, monkeypatch):
-        import bargmann.cli as climod
+        import bargmann.chain as chainmod
         spec = write_spec(tmp_path)
-        monkeypatch.setattr(climod, "build_hamiltonian",
+        monkeypatch.setattr(chainmod, "build_hamiltonian",
                             lambda s: single_term(1, {z_var(0): 1}, {}))
-        assert climod.main(["diag", "--spec", spec]) == 4
+        assert cli.main(["diag", "--spec", spec]) == 4
 
 
 class TestThermo:
@@ -178,6 +185,13 @@ class TestVerify:
         assert cli.main(["verify", "--spec", spec, "--tol", "1e-9"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["max_abs_diff"] <= 1e-9
+
+    def test_negative_random_trials_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert cli.main(["verify", "--spec", spec, "--random-trials", "-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: random-trials must be >= 0\n"
 
     def test_corrupted_pipeline_fails(self, tmp_path, capsys, monkeypatch):
         import bargmann.cli as climod

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from bargmann.thermo import (
     spectrum_to_json,
     thermo_sweep,
     thermo_to_csv,
+    to_json,
 )
 
 Z0 = z_var(0)
@@ -293,6 +295,24 @@ class TestSerialization:
         assert text == ('{"eigenvalues": [-3.3333333333333331e-01, 2.0000000000000000e+00], '
                         '"residual_bound": Infinity}\n')
         assert json.loads(text)["residual_bound"] == math.inf
+
+
+class TestToJson:
+    def test_non_finite_floats(self):
+        assert to_json([math.inf, -math.inf, math.nan]) == "[Infinity, -Infinity, NaN]"
+
+    def test_bool_int_and_float_are_distinct(self):
+        assert to_json([True, False, 1, 0, 1.0, None]) == (
+            "[true, false, 1, 0, 1.0000000000000000e+00, null]")
+        assert to_json(np.float64(0.1)) == "1.0000000000000001e-01"
+
+    def test_nested_containers(self):
+        obj = {"a": [1, (2.5, "x")], "b": {"c": [], "d": {}}, 'q"': "\u00e9"}
+        text = to_json(obj)
+        assert text == ('{"a": [1, [2.5000000000000000e+00, "x"]], "b": {"c": [], "d": {}}, '
+                        '"q\\"": "\\u00e9"}')
+        assert json.loads(text) == {"a": [1, [2.5, "x"]], "b": {"c": [], "d": {}},
+                                    'q"': "\u00e9"}
 
 
 class TestHusimi:

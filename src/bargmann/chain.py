@@ -49,9 +49,13 @@ class ChainSpec:
     mode: str = COMPOSITIONAL
 
     def __post_init__(self):
+        for name, v in [("spin", self.spin), *zip(("jx", "jy", "jz"), self.couplings),
+                        ("hbar", self.hbar)]:
+            if isinstance(v, bool):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         object.__setattr__(self, "spin", Fraction(self.spin))
-        object.__setattr__(self, "hbar", Fraction(self.hbar))
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        object.__setattr__(self, "hbar", Fraction(self.hbar))
         n = self.n_sites
         if isinstance(n, bool) or not (isinstance(n, numbers.Integral)
                                        or isinstance(n, float) and n.is_integer()):
@@ -84,15 +88,13 @@ class ChainSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSpec":
-        spin = obj["spin"]
-        spin = Fraction(spin) if isinstance(spin, str) else Fraction(spin)
         n_sites = obj["n_sites"]
         return cls(
             n_sites=int(n_sites) if isinstance(n_sites, str) else n_sites,
-            spin=spin,
-            couplings=(float(obj["jx"]), float(obj["jy"]), float(obj["jz"])),
+            spin=obj["spin"],
+            couplings=(obj["jx"], obj["jy"], obj["jz"]),
             boundary=obj.get("boundary", OPEN),
-            hbar=Fraction(obj.get("hbar", 1)),
+            hbar=obj.get("hbar", 1),
             mode=obj.get("mode", COMPOSITIONAL),
         )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -137,6 +138,13 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
+def _check_temperatures(temps):
+    if any(not t > 0 for t in temps):
+        raise ValueError("temperatures must be positive")
+    if any(math.isinf(t) for t in temps):
+        raise ValueError("temperatures must be finite")
+
+
 def _parse_grid(args) -> list[float]:
     if args.temps is not None:
         toks = [t for t in args.temps.split(",") if t.strip()]
@@ -144,11 +152,11 @@ def _parse_grid(args) -> list[float]:
     elif args.tmin is not None and args.tmax is not None:
         if args.tpoints < 1:
             raise ValueError("tpoints must be >= 1")
+        _check_temperatures([args.tmin, args.tmax])
         grid = list(np.geomspace(args.tmin, args.tmax, args.tpoints))
     else:
         raise ValueError("give either --temps or --tmin/--tmax/--tpoints")
-    if any(not t > 0 for t in grid):
-        raise ValueError("temperatures must be positive")
+    _check_temperatures(grid)
     return sorted(grid)
 
 

@@ -1,9 +1,12 @@
 """Independent ground truth: dense tensor-product spin matrices.
 
-Deliberately naive Kronecker-product construction of the same chain
-Hamiltonians, sharing nothing with the holomorphic path beyond the ChainSpec.
-Phase convention is Condon-Shortley (real non-negative ladder elements), so
-agreement with the sector matrices is entry-wise, not just spectral.
+The same chain Hamiltonians as full dense matrices on the tensor-product
+basis, built from the standard spin-s matrices and sharing nothing with the
+holomorphic path beyond the ChainSpec.  Each bond's two-site operator is
+added into the strided view of H on which every other site acts as the
+identity, so no identity factor is ever formed.  Phase convention is
+Condon-Shortley (real non-negative ladder elements), so agreement with the
+sector matrices is entry-wise, not just spectral.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .algebra import MultiIndex, w_var, z_var
 from .chain import ChainSpec
@@ -50,25 +54,34 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
 def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
     """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b).
 
-    Each bond's three axis terms are summed on the sites a..b as
-    J S (x) I_mid (x) S, then embedded once between identities.
+    Each bond's two-site operator sum_k J_k S_k (x) S_k is formed as a
+    (d, d, d, d) array and added once into the view of H that is diagonal on
+    every other site: with a < b, H is indexed as (L, d, M, d, R) x
+    (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the view
+    takes equal L, M and R indices on both sides.
     """
     dim = spec.dimension()
     if dim > max_dim:
         raise DimensionTooLarge(f"dimension {dim} exceeds cap {max_dim}")
     mats = spin_matrices(spec.spin, float(spec.hbar))
-    axes = (mats.sx, mats.sy, mats.sz)
     d = int(2 * spec.spin) + 1
     n = spec.n_sites
     H = np.zeros((dim, dim), dtype=np.complex128)
+    item = H.itemsize
     for (i, j) in spec.bonds():
         a, b = min(i, j), max(i, j)
-        mid = np.eye(d ** (b - a - 1))
-        h = np.zeros((d ** (b - a + 1),) * 2, dtype=np.complex128)
-        for J, S in zip(spec.couplings, axes):
+        M, R = d ** (b - a - 1), d ** (n - b - 1)
+        h = np.zeros((d,) * 4, dtype=np.complex128)   # [p, p', q, q'] = <p p'|h|q q'>
+        for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
             if J != 0.0:
-                h += J * np.kron(np.kron(S, mid), S)
-        H += np.kron(np.kron(np.eye(d ** a), h), np.eye(d ** (n - b - 1)))
+                h += J * (S[:, None, :, None] * S[None, :, None, :])
+        # (l, m, r) run along the diagonal; p, p' pick rows and q, q' columns
+        diag = (dim + 1) * item
+        view = as_strided(H, shape=(d ** a, M, R, d, d, d, d),
+                          strides=(d * M * d * R * diag, d * R * diag, diag,
+                                   M * d * R * dim * item, R * dim * item,
+                                   M * d * R * item, R * item))
+        view += h
     return H
 
 

@@ -49,24 +49,45 @@ class ThermoPoint:
     mean_energy: float
 
 
-def _to_dense(H) -> np.ndarray:
-    if hasattr(H, "toarray"):
-        H = H.toarray()
-    A = np.asarray(H, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
+def _triplets(H, max_dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Dimension and the (rows, cols, values) of H's nonzero entries.
+
+    Entries come in row-major order, values as complex128.  The duplicate
+    entries of a sparse H are summed in storage order, as `toarray` sums
+    them, and zero sums and stored zeros are dropped, so the entries are
+    exactly those `np.nonzero` finds in the dense matrix (a -0.0 is a zero
+    like any other).  The shape and the dimension cap are checked before
+    anything of size n^2 is touched.
+    """
+    sparse = hasattr(H, "tocoo")
+    if not sparse:
+        H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    n = H.shape[0]
+    if n > max_dim:
+        raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
+    if not sparse:
+        rows, cols = np.nonzero(H)
+        return n, rows, cols, H[rows, cols].astype(np.complex128, copy=False)
+    C = H.tocoo()
+    keys, inverse = np.unique(C.row.astype(np.int64) * n + C.col, return_inverse=True)
+    vals = np.zeros(len(keys), dtype=C.data.dtype)
+    np.add.at(vals, inverse, C.data)
+    vals = vals.astype(np.complex128, copy=False)
+    keep = vals != 0
+    rows, cols = np.divmod(keys[keep], n)
+    return n, rows, cols, vals[keep]
 
 
-def _components(A: np.ndarray) -> np.ndarray:
-    """Label each index of A by the smallest index of its connected component
-    in the undirected graph of A's nonzero pattern.
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Label each of the n indices by the smallest index of its connected
+    component in the undirected graph with edges (rows[k], cols[k]).
 
     Min-label propagation over the edges, each round followed by one pointer
     jump (labels only ever point to a smaller index of the same component).
     """
-    rows, cols = np.nonzero(A)
-    lab = np.arange(A.shape[0])
+    lab = np.arange(n)
     while True:
         new = lab.copy()
         np.minimum.at(new, rows, lab[cols])
@@ -77,45 +98,57 @@ def _components(A: np.ndarray) -> np.ndarray:
         lab = new
 
 
-def _blocks_by_size(A: np.ndarray) -> list[np.ndarray]:
-    """Index sets of A's connected components, grouped by size: one (k, s)
-    array per size s, one ascending row per component."""
-    lab = _components(A)
+def _blocks_by_size(lab: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the components labelled by `lab`, grouped by size: one
+    (k, s) array per size s, one ascending row per component."""
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
 def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
-    """Dense Hermitian eigendecomposition with verified residuals.
+    """Hermitian eigendecomposition with verified residuals.
 
-    H is split into the connected components of its own nonzero pattern
-    (symmetry sectors show up here without being named), and each block is
-    solved on its own, in real arithmetic when the imaginary part of H is
-    exactly zero.  Blocks of equal size go through one batched `eigh`.
-    Eigenvalues are merged with a stable sort; eigenvectors are returned in
-    the original basis order.  `residual_bound` is the largest
-    ||H v - lambda v|| over all eigenpairs, which equals the per-block value
-    because H is zero between blocks.
+    H (dense or scipy.sparse) is read once as its nonzero (row, col, value)
+    triplets, and the checks run on those: the Hermiticity deviation pairs
+    each (r, c) with its mirror (c, r), a missing mirror counting as 0.  H is
+    split into the connected components of its nonzero pattern (symmetry
+    sectors show up here without being named); the components of each size
+    are scattered into one (k, s, s) stack and solved by one batched `eigh`,
+    in real arithmetic when the imaginary part of H is exactly zero.  No
+    n x n array is formed unless eigenvectors are asked for.  Eigenvalues
+    are merged with a stable sort; eigenvectors are returned in the original
+    basis order.  `residual_bound` is the largest ||H v - lambda v|| over all
+    eigenpairs, which equals the per-block value because H is zero between
+    blocks.
 
-    Raises NotHermitian when max|H - H^dag| > 1e-10 entry-wise, RuntimeError
-    when the residual exceeds 1e-8 * max|H| * dim, and DimensionTooLarge
-    beyond `max_dim`.
+    Raises ValueError for a non-square H, DimensionTooLarge beyond `max_dim`
+    (checked first), NotHermitian when max|H - H^dag| > 1e-10 entry-wise, and
+    RuntimeError when the residual exceeds 1e-8 * max|H| * dim.
     """
-    A = _to_dense(H)
-    n = A.shape[0]
-    if n > max_dim:
-        raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
-    if not A.imag.any():
-        A = np.ascontiguousarray(A.real)
-    dev = np.abs(A - A.conj().T).max() if n else 0.0
+    n, rows, cols, vals = _triplets(H, max_dim)
+    if not vals.imag.any():
+        vals = np.ascontiguousarray(vals.real)
+    keys, mirror = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    partner = np.where(keys[at] == mirror, vals[at], 0)
+    dev = np.abs(vals - partner.conj()).max(initial=0.0)
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
-    scale = np.abs(A).max() if n else 0.0
+    scale = np.abs(vals).max(initial=0.0)
+    blocks = _blocks_by_size(_components(rows, cols, n))
+    size, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
+    for idx in blocks:
+        size[idx] = idx.shape[1]
+        block[idx] = np.arange(len(idx))[:, None]
+        within[idx] = np.arange(idx.shape[1])
     groups = []
     bound = 0.0
-    for idx in _blocks_by_size(A):
-        B = A[idx[:, :, None], idx[:, None, :]]
+    for idx in blocks:
+        hit = size[rows] == idx.shape[1]
+        r, c = rows[hit], cols[hit]
+        B = np.zeros(idx.shape + idx.shape[1:], dtype=vals.dtype)
+        B[block[r], within[r], within[c]] = vals[hit]
         w, V = np.linalg.eigh(B)
         residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
         bound = max(bound, float(residual.max()))
@@ -129,7 +162,7 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) ->
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        evecs = np.zeros((n, n), dtype=A.dtype)
+        evecs = np.zeros((n, n), dtype=vals.dtype)
         start = 0
         for idx, _, V in groups:
             pos = rank[start:start + idx.size].reshape(idx.shape)
@@ -139,10 +172,12 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) ->
 
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
-    """Z, F, S, <E> at temperature T (k_B = 1), overflow-safe via the
-    ground-energy shift Z = e^(-E0/T) * sum e^(-(En-E0)/T)."""
+    """Z, F, S, <E> at a positive, finite temperature T (k_B = 1),
+    overflow-safe via the ground-energy shift Z = e^(-E0/T) * sum e^(-(En-E0)/T)."""
     if not T > 0:
         raise ValueError("temperature must be positive")
+    if math.isinf(T):
+        raise ValueError("temperature must be finite")
     E = spec.eigenvalues
     if len(E) == 0:
         raise ValueError("empty spectrum")
@@ -166,6 +201,8 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
+    if any(math.isinf(t) for t in grid):
+        raise ValueError("all temperatures must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be ascending")
     return [partition_function(spec, t) for t in grid]

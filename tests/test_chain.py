@@ -62,6 +62,16 @@ class TestChainSpec:
         spec = ChainSpec(n_sites=2.0, spin=Fraction(1, 2), couplings=(1, 1, 1))
         assert type(spec.n_sites) is int and spec.n_sites == 2
 
+    def test_boolean_number_fields_rejected(self):
+        base = {"n_sites": 2, "spin": "1/2", "jx": 1, "jy": 1, "jz": 1, "hbar": 1}
+        for field in ("spin", "jx", "jy", "jz", "hbar"):
+            with pytest.raises(ValueError, match=f"{field} must be a number, got True"):
+                ChainSpec.from_json({**base, field: True})
+        with pytest.raises(ValueError, match="jz must be a number, got False"):
+            ChainSpec(n_sites=2, spin=Fraction(1, 2), couplings=(1, 1, False))
+        spec = ChainSpec.from_json({**base, "spin": 0.5, "jx": "1.5", "hbar": "1/2"})
+        assert (spec.spin, spec.couplings[0], spec.hbar) == (Fraction(1, 2), 1.5, Fraction(1, 2))
+
     def test_bonds(self):
         assert xxx_spec(4).bonds() == [(0, 1), (1, 2), (2, 3)]
         assert xxx_spec(4, boundary=PERIODIC).bonds() == [(0, 1), (1, 2), (2, 3), (3, 0)]

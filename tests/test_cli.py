@@ -109,6 +109,12 @@ class TestDiag:
         err = capsys.readouterr().err
         assert err == f"error: n_sites must be an integer, got {n_sites!r}\n"
 
+    @pytest.mark.parametrize("field", ["spin", "jx", "jy", "jz", "hbar"])
+    def test_boolean_number_field_exit_2(self, tmp_path, capsys, field):
+        spec = write_spec(tmp_path, **{field: True})
+        assert cli.main(["diag", "--spec", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {field} must be a number, got True\n")
+
     def test_sector_violation_exit_4(self, tmp_path, monkeypatch):
         import bargmann.chain as chainmod
         spec = write_spec(tmp_path)
@@ -148,6 +154,19 @@ class TestThermo:
         spec = write_spec(tmp_path)
         assert cli.main(["thermo", "--spec", spec, "--temps", "1,-2"]) == 2
         assert cli.main(["thermo", "--spec", spec, "--temps", "0"]) == 2
+
+    def test_nonpositive_log_grid_end_exit_2_without_numpy_warning(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        assert cli.main(["thermo", "--spec", spec, "--tmin=-1", "--tmax", "10"]) == 2
+        assert capsys.readouterr() == ("", "error: temperatures must be positive\n")
+
+    @pytest.mark.parametrize("grid", [["--temps", "1,inf"], ["--temps", "inf"],
+                                      ["--tmin", "1", "--tmax", "inf"],
+                                      ["--tmin", "inf", "--tmax", "1e300"]])
+    def test_infinite_temperature_exit_2(self, tmp_path, capsys, grid):
+        spec = write_spec(tmp_path)
+        assert cli.main(["thermo", "--spec", spec, *grid]) == 2
+        assert capsys.readouterr() == ("", "error: temperatures must be finite\n")
 
     def test_json_format(self, tmp_path, capsys):
         spec = write_spec(tmp_path)

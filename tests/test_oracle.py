@@ -89,6 +89,43 @@ class TestOracleHamiltonian:
         assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(n_sites=n, spin=s, couplings=couplings, boundary=boundary, hbar=hbar)
+        for n, s in [(5, Fraction(1, 2)), (4, Fraction(1)), (3, Fraction(3, 2)),
+                     (3, Fraction(2)), (2, Fraction(1, 2)), (2, Fraction(3, 2))]
+        for boundary in (OPEN, PERIODIC)
+        for couplings, hbar in [((1.1, -0.7, 0.4), Fraction(3, 2)),
+                                ((0.3, 0.0, -2.5), Fraction(1)),
+                                ((1.0, 1.0, 1.0), Fraction(1, 3))]
+    ] + [ChainSpec(n_sites=1, spin=s, couplings=(1, 1, 1)) for s in (0, Fraction(1, 2), 2)]
+      + [ChainSpec(n_sites=3, spin=0, couplings=(1, 2, 3), boundary=PERIODIC)],
+        ids=repr)
+    def test_equals_per_bond_kron_build(self, spec):
+        H = oracle_hamiltonian(spec)
+        ref = _per_bond_kron_oracle(spec)
+        assert H.dtype == ref.dtype and H.flags.c_contiguous
+        assert np.array_equal(H, ref)
+
+
+def _per_bond_kron_oracle(spec):
+    """Each bond's axis terms summed on sites a..b as J S (x) I_mid (x) S and
+    embedded with dense np.kron between identities: the construction the
+    strided per-bond update replaced."""
+    mats = spin_matrices(spec.spin, float(spec.hbar))
+    d = int(2 * spec.spin) + 1
+    n = spec.n_sites
+    H = np.zeros((spec.dimension(),) * 2, dtype=np.complex128)
+    for (i, j) in spec.bonds():
+        a, b = min(i, j), max(i, j)
+        mid = np.eye(d ** (b - a - 1))
+        h = np.zeros((d ** (b - a + 1),) * 2, dtype=np.complex128)
+        for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
+            if J != 0.0:
+                h += J * np.kron(np.kron(S, mid), S)
+        H += np.kron(np.kron(np.eye(d ** a), h), np.eye(d ** (n - b - 1)))
+    return H
+
+
 def _per_axis_kron_oracle(spec):
     """One full-size np.kron chain per bond and axis: the construction the
     per-bond oracle build replaced."""

@@ -1,17 +1,25 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from bargmann.algebra import MultiIndex, PolynomialState, w_var, z_var
 from bargmann.chain import ChainSpec, assemble_matrix, build_hamiltonian, sector_basis
 from bargmann.dsl import parse
 from bargmann.errors import DimensionTooLarge, NotHermitian, NotNormalized
 from bargmann.thermo import (
+    HERMITICITY_TOL,
+    MAX_DENSE_DIM,
+    RESIDUAL_FACTOR,
     Spectrum,
     _components,
+    _triplets,
     eigensolve,
     husimi_q,
     partition_function,
@@ -137,12 +145,17 @@ class TestBlockedEigensolve:
         assert np.iscomplexobj(eigensolve(M).eigenvectors)
 
     def test_block_counts(self):
-        xyz = _chain_matrix(6, Fraction(1, 2), (1, -0.9, 0.5), "periodic").toarray()
-        cancel = _chain_matrix(6, Fraction(1, 2), (1, -1, 0.5), "periodic").toarray()
-        assert len(np.unique(_components(xyz))) == 2            # parity of total m
-        assert len(np.unique(_components(cancel))) > 2
-        assert len(np.unique(_components(_random_hermitian(30)))) == 1
-        assert len(np.unique(_components(np.diag(np.arange(1.0, 21.0))))) == 20
+        def count(H):
+            n, rows, cols, _ = _triplets(H, MAX_DENSE_DIM)
+            return len(np.unique(_components(rows, cols, n)))
+
+        xyz = _chain_matrix(6, Fraction(1, 2), (1, -0.9, 0.5), "periodic")
+        cancel = _chain_matrix(6, Fraction(1, 2), (1, -1, 0.5), "periodic")
+        assert count(xyz) == 2                                  # parity of total m
+        assert count(xyz.toarray()) == 2
+        assert count(cancel) > 2
+        assert count(_random_hermitian(30)) == 1
+        assert count(np.diag(np.arange(1.0, 21.0))) == 20
 
     def test_one_sided_entry_within_tolerance_joins_blocks(self):
         H = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -187,6 +200,198 @@ class TestBlockedGates:
             eigensolve(H)
 
 
+def _reference_components(A):
+    rows, cols = np.nonzero(A)
+    lab = np.arange(A.shape[0])
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, rows, lab[cols])
+        np.minimum.at(new, cols, lab[rows])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
+    """The dense front end that the triplet front end replaced: H is made a
+    dense complex array, checked and labelled entry-wise, and each block is
+    gathered from it.  The eigensolves, the checks' thresholds and the merge
+    are the same."""
+    if hasattr(H, "toarray"):
+        H = H.toarray()
+    A = np.asarray(H, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if n > max_dim:
+        raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
+    if not A.imag.any():
+        A = np.ascontiguousarray(A.real)
+    dev = np.abs(A - A.conj().T).max() if n else 0.0
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
+    scale = np.abs(A).max() if n else 0.0
+    lab = _reference_components(A)
+    order = np.argsort(lab, kind="stable")
+    _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
+    groups = []
+    bound = 0.0
+    for s in np.unique(sizes):
+        idx = order[starts[sizes == s][:, None] + np.arange(s)]
+        B = A[idx[:, :, None], idx[:, None, :]]
+        w, V = np.linalg.eigh(B)
+        residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
+        bound = max(bound, float(residual.max()))
+        groups.append((idx, w, V))
+    cap = RESIDUAL_FACTOR * scale * n
+    if bound > cap:
+        raise RuntimeError(f"eigendecomposition residual {bound:.3e} exceeds {cap:.3e}")
+    flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
+    order = np.argsort(flat, kind="stable")
+    evecs = None
+    if compute_vectors:
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        evecs = np.zeros((n, n), dtype=A.dtype)
+        start = 0
+        for idx, _, V in groups:
+            pos = rank[start:start + idx.size].reshape(idx.shape)
+            evecs[idx[:, :, None], pos[:, None, :]] = V
+            start += idx.size
+    return Spectrum(eigenvalues=flat[order], eigenvectors=evecs, residual_bound=bound)
+
+
+def _outcome(solver, H, vectors, max_dim):
+    try:
+        return solver(H, compute_vectors=vectors, max_dim=max_dim)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def assert_same_as_reference(H, max_dim=MAX_DENSE_DIM):
+    """Eigenvalues, residual bound and eigenvectors bit for bit, or the same
+    exception with the same message."""
+    for vectors in (False, True):
+        got = _outcome(eigensolve, H, vectors, max_dim)
+        want = _outcome(reference_eigensolve, H, vectors, max_dim)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+            continue
+        assert got.eigenvalues.dtype == want.eigenvalues.dtype
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert got.residual_bound == want.residual_bound
+        if vectors:
+            assert got.eigenvectors.dtype == want.eigenvectors.dtype
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        else:
+            assert got.eigenvectors is None and want.eigenvectors is None
+
+
+def _forms(H):
+    """H as built, as a dense array, as CSR and as COO."""
+    A = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
+    return {"built": H, "dense": A, "csr": sp.csr_matrix(A), "coo": sp.coo_matrix(A)}
+
+
+@st.composite
+def sparse_hermitian(draw):
+    """COO matrices with duplicate entries, stored zeros and signed zeros,
+    Hermitian by construction unless one one-sided entry is added."""
+    n = draw(st.integers(0, 12))
+    value = st.floats(-8, 8, allow_nan=False)
+    real = draw(st.booleans())
+    rows, cols, data = [], [], []
+    if n:
+        entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                          value, value), max_size=3 * n))
+        for r, c, re, im in entries:
+            v = complex(re, 0.0 if real or r == c else im)
+            rows += [r, c]
+            cols += [c, r]
+            data += [v, v.conjugate()]
+        if draw(st.booleans()):
+            rows.append(draw(st.integers(0, n - 1)))
+            cols.append(draw(st.integers(0, n - 1)))
+            data.append(complex(draw(value), 0.0))
+    return sp.coo_matrix((np.array(data, dtype=np.complex128), (rows, cols)), shape=(n, n))
+
+
+class TestTripletFrontEnd:
+    """The triplet front end against the dense one it replaced."""
+
+    @pytest.mark.parametrize("form", ["built", "dense", "csr", "coo"])
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_cases(self, case, form):
+        assert_same_as_reference(_forms(BLOCKED_CASES[case]())[form])
+
+    def test_csr_with_stored_zeros_duplicates_and_unsorted_indices(self):
+        # (0,1) is a stored zero plus 2.0; (1,2) sums 2^53 + 1 - 2^53 to 0 in
+        # storage order and to 1 sorted or reversed, and its mirror (2,1) is a
+        # stored zero, so those orders would fail the Hermiticity check
+        big = 2.0 ** 53
+        data = [0.25, 0.0, 0.5, 2.0, big, 2.0, 1.0, -big, 0.0, 0.75, 3.0]
+        indices = [2, 1, 2, 1, 2, 0, 2, 2, 1, 0, 2]
+        H = sp.csr_matrix((data, indices, [0, 4, 8, 11]), shape=(3, 3))
+        assert not H.has_sorted_indices
+        A = H.toarray()
+        assert np.array_equal(A, [[0, 2, 0.75], [2, 0, 0], [0.75, 0, 3]])
+        assert_same_as_reference(H)
+        assert np.array_equal(eigensolve(H).eigenvalues, eigensolve(A).eigenvalues)
+
+    def test_one_sided_entries(self):
+        for value in (1e-12, 0.5):
+            H = np.diag([1.0, 2.0, 3.0, 4.0])
+            H[0, 3] = value
+            for form in _forms(H).values():
+                assert_same_as_reference(form)
+        H = np.diag([1.0, 2.0, 3.0j])
+        assert_same_as_reference(H)
+
+    def test_shape_and_cap_messages(self):
+        for H in (np.zeros((2, 3)), sp.csr_matrix((2, 3)), np.zeros(3), np.eye(5),
+                  sp.csr_matrix(np.eye(5))):
+            assert_same_as_reference(H, max_dim=4)
+
+    def test_residual_cap_message(self, monkeypatch):
+        H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
+        TestBlockedGates()._shifted_eigh(monkeypatch, 1e-5)
+        for form in _forms(H).values():
+            assert_same_as_reference(form)
+
+    @given(sparse_hermitian())
+    @settings(max_examples=200)
+    def test_generated_sparse_hermitian(self, H):
+        for form in (H, H.tocsr(), H.toarray()):
+            assert_same_as_reference(form)
+
+    def test_negative_zero_is_zero(self):
+        # the reference gathered a -0.0 into the block, where LAPACK's
+        # reflector signs can see it; the triplet front end reads values only
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(6, 6))
+        A = A + A.T
+        A[1, 0] = A[0, 1] = 0.0
+        B = A.copy()
+        B[1, 0] = B[0, 1] = -0.0
+        a, b = eigensolve(A), eigensolve(B)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert_same_as_reference(A)
+
+    def test_csr_eigenvalues_allocate_no_square_array(self):
+        M = _chain_matrix(10, Fraction(1, 2), (1, 1, 0.5), "periodic")
+        n = M.shape[0]
+        eigensolve(M, compute_vectors=False)
+        tracemalloc.start()
+        try:
+            eigensolve(M, compute_vectors=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+
 class TestPartitionFunction:
     def test_single_level(self):
         s = Spectrum(np.array([2.5]))
@@ -229,6 +434,10 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             partition_function(Spectrum(np.array([0.0])), 0.0)
 
+    def test_infinite_temperature(self):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            partition_function(Spectrum(np.array([0.0, 1.0])), math.inf)
+
 
 class TestThermoSweep:
     def test_empty_grid(self):
@@ -267,6 +476,8 @@ class TestThermoSweep:
             thermo_sweep(s, [1.0, 0.5])
         with pytest.raises(ValueError):
             thermo_sweep(s, [-1.0])
+        with pytest.raises(ValueError, match="all temperatures must be finite"):
+            thermo_sweep(s, [1.0, math.inf])
 
 
 class TestSerialization:

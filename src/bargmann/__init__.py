@@ -34,7 +34,6 @@ from .chain import (
     SectorBasis,
     assemble_matrix,
     build_hamiltonian,
-    magnetization_blocks,
     mode_difference,
     sector_basis,
     solve,
@@ -66,6 +65,7 @@ from .oscillator import (
 )
 from .oscillator import hamiltonian as oscillator_hamiltonian
 from .thermo import (
+    SectorMatrix,
     Spectrum,
     ThermoPoint,
     eigensolve,

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import (
     MultiIndex,
@@ -30,8 +29,8 @@ from .algebra import (
     z_var,
 )
 from .angular import j_operator
-from .errors import DimensionTooLarge, SectorViolation
-from .thermo import MAX_DENSE_DIM, Spectrum, eigensolve
+from .errors import AmplitudeOverflow, DimensionTooLarge, SectorViolation
+from .thermo import MAX_DENSE_DIM, SectorMatrix, Spectrum, eigensolve
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -239,18 +238,20 @@ def _check_sector_preserving(H: OperatorPolynomial):
                 f"term does not conserve per-site boson number at sites {sorted(bad)}")
 
 
-def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> sp.csr_matrix:
-    """Sector matrix with entry (r, c) = <basis[r]|H|basis[c]>, sparse CSR.
+def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
+    """Sector matrix with entry (r, c) = <basis[r]|H|basis[c]>.
 
     A term touching k sites acts as a (2s+1)**k local matrix times the
     identity on the other sites.  `apply_term` runs once on each local
     monomial of those sites, and the local action is scattered over all
     columns through the mixed-radix digits of the basis index.  Triplets are
     ordered by column, then by term, as a loop over states and terms would
-    emit them, so duplicate entries are summed in the same order.  A term
-    touching a site outside the chain annihilates every sector state.
+    emit them, and `SectorMatrix.from_triplets` sums duplicates in that
+    order.  A term touching a site outside the chain annihilates every
+    sector state.
 
-    Raises SectorViolation if a term changes any site's boson number.
+    Raises SectorViolation if a term changes any site's boson number, and
+    AmplitudeOverflow if a summed entry is beyond the float range.
     """
     _check_sector_preserving(H)
     n, d = basis.n_sites, int(2 * basis.spin) + 1
@@ -258,9 +259,9 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> sp.csr_matrix:
     columns = np.arange(dim)
     place = d ** np.arange(n - 1, -1, -1)          # index weight of each site's digit
     digits = columns[:, None] // place % d         # z-exponent of each site, per column
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    rows = [np.zeros(0, dtype=np.int64)]
+    cols = [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0, dtype=np.complex128)]
     blocks: dict[tuple, tuple] = {}    # sites -> (local monomials, local state per column)
     for t in H.terms():
         sites = tuple(sorted({v.site for v in t.mult.variables() + t.deriv.variables()}))
@@ -288,15 +289,13 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> sp.csr_matrix:
         cols.append(columns[keep])
         rows.append(cols[-1] + shift[hit])
         vals.append(amp[hit])
-    if cols:
-        cols_all = np.concatenate(cols)
-        order = np.argsort(cols_all, kind="stable")
-        triplets = (np.concatenate(vals)[order],
-                    (np.concatenate(rows)[order], cols_all[order]))
-    else:
-        triplets = ([], ([], []))
-    coo = sp.coo_matrix(triplets, shape=(dim, dim), dtype=np.complex128)
-    return coo.tocsr()
+    cols_all = np.concatenate(cols)
+    order = np.argsort(cols_all, kind="stable")
+    M = SectorMatrix.from_triplets(dim, np.concatenate(rows)[order], cols_all[order],
+                                   np.concatenate(vals)[order])
+    if not np.isfinite(M.vals).all():
+        raise AmplitudeOverflow("a summed matrix element is beyond the float range")
+    return M
 
 
 def solve(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
@@ -312,10 +311,3 @@ def solve(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
     M = assemble_matrix(build_hamiltonian(spec), basis)
     return eigensolve(M, compute_vectors=False, max_dim=max_dim)
 
-
-def magnetization_blocks(basis: SectorBasis) -> list[tuple[Fraction, list[int]]]:
-    """Partition of row indices by total magnetization, ordered by m ascending."""
-    groups: dict[Fraction, list[int]] = {}
-    for i, m in enumerate(basis.states):
-        groups.setdefault(total_magnetization(m, basis.n_sites), []).append(i)
-    return [(m, groups[m]) for m in sorted(groups)]

@@ -7,7 +7,8 @@ Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
     2  malformed input (bad spec/state/points file, parse error, bad grid,
-       a negative trial count, an amplitude beyond the float range)
+       a negative trial count, an amplitude or a summed matrix element
+       beyond the float range)
     3  requested dimension exceeds the cap (override: BARGMANN_MAX_DIM)
     4  sector violation (operator does not conserve per-site boson number)
 

@@ -49,35 +49,73 @@ class ThermoPoint:
     mean_energy: float
 
 
+@dataclass(frozen=True)
+class SectorMatrix:
+    """An n x n matrix as its nonzero entries: `rows`, `cols` and complex128
+    `vals`, in row-major order, one entry per (row, col)."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, n: int, rows, cols, vals) -> "SectorMatrix":
+        """Sum the duplicate (row, col) entries in storage order, as a sparse
+        `toarray` sums them, drop zero sums and sort row-major.  A sum beyond
+        the float range is kept as inf or NaN."""
+        keys, inverse = np.unique(np.asarray(rows, dtype=np.int64) * n + cols,
+                                  return_inverse=True)
+        vals = np.asarray(vals)
+        summed = np.zeros(len(keys), dtype=vals.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(summed, inverse, vals)
+        summed = summed.astype(np.complex128, copy=False)
+        keep = summed != 0
+        rows, cols = np.divmod(keys[keep], n)
+        return cls(n, rows, cols, summed[keep])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def toarray(self) -> np.ndarray:
+        A = np.zeros(self.shape, dtype=np.complex128)
+        A[self.rows, self.cols] = self.vals
+        return A
+
+
 def _triplets(H, max_dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Dimension and the (rows, cols, values) of H's nonzero entries.
 
-    Entries come in row-major order, values as complex128.  The duplicate
-    entries of a sparse H are summed in storage order, as `toarray` sums
-    them, and zero sums and stored zeros are dropped, so the entries are
-    exactly those `np.nonzero` finds in the dense matrix (a -0.0 is a zero
-    like any other).  The shape and the dimension cap are checked before
-    anything of size n^2 is touched.
+    Entries come in row-major order, values as complex128: a `SectorMatrix`
+    passes through, a dense H gives what `np.nonzero` finds (a -0.0 is a zero
+    like any other), and anything with `tocoo` becomes a `SectorMatrix` first.
+    The shape and the dimension cap are checked before anything of size n^2
+    is touched; any entry that is inf or NaN is rejected.
     """
-    sparse = hasattr(H, "tocoo")
-    if not sparse:
+    if not (isinstance(H, SectorMatrix) or hasattr(H, "tocoo")):
         H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     n = H.shape[0]
     if n > max_dim:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
-    if not sparse:
+    if hasattr(H, "tocoo"):
+        C = H.tocoo()
+        H = SectorMatrix.from_triplets(n, C.row, C.col, C.data)
+    if isinstance(H, SectorMatrix):
+        rows, cols, vals = H.rows, H.cols, H.vals
+    else:
         rows, cols = np.nonzero(H)
-        return n, rows, cols, H[rows, cols].astype(np.complex128, copy=False)
-    C = H.tocoo()
-    keys, inverse = np.unique(C.row.astype(np.int64) * n + C.col, return_inverse=True)
-    vals = np.zeros(len(keys), dtype=C.data.dtype)
-    np.add.at(vals, inverse, C.data)
-    vals = vals.astype(np.complex128, copy=False)
-    keep = vals != 0
-    rows, cols = np.divmod(keys[keep], n)
-    return n, rows, cols, vals[keep]
+        vals = H[rows, cols].astype(np.complex128, copy=False)
+    if not np.isfinite(vals).all():
+        raise ValueError("matrix entries must be finite")
+    return n, rows, cols, vals
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -109,8 +147,8 @@ def _blocks_by_size(lab: np.ndarray) -> list[np.ndarray]:
 def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
     """Hermitian eigendecomposition with verified residuals.
 
-    H (dense or scipy.sparse) is read once as its nonzero (row, col, value)
-    triplets, and the checks run on those: the Hermiticity deviation pairs
+    H (dense, `SectorMatrix`, or anything with `tocoo`) is read once as its
+    nonzero (row, col, value) triplets, and the checks run on those: the Hermiticity deviation pairs
     each (r, c) with its mirror (c, r), a missing mirror counting as 0.  H is
     split into the connected components of its nonzero pattern (symmetry
     sectors show up here without being named); the components of each size
@@ -122,9 +160,9 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) ->
     eigenpairs, which equals the per-block value because H is zero between
     blocks.
 
-    Raises ValueError for a non-square H, DimensionTooLarge beyond `max_dim`
-    (checked first), NotHermitian when max|H - H^dag| > 1e-10 entry-wise, and
-    RuntimeError when the residual exceeds 1e-8 * max|H| * dim.
+    Raises ValueError for a non-square H or an inf or NaN entry,
+    DimensionTooLarge beyond `max_dim` (checked first), NotHermitian when
+    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual exceeds 1e-8 * max|H| * dim.
     """
     n, rows, cols, vals = _triplets(H, max_dim)
     if not vals.imag.any():

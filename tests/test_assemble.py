@@ -1,8 +1,9 @@
 """The local-block sector assembler against the per-state reference loop.
 
 The reference applies every term to every basis state, as the assembler did
-before it scattered local actions; both feed the same exact amplitudes to
-scipy in the same order, so the CSR arrays must be equal, not just close.
+before it scattered local actions, and hands the amplitudes to scipy's CSR in
+the same order; the assembler's triplets must equal the CSR's nonzero
+entries exactly, not just closely.
 """
 
 from fractions import Fraction
@@ -33,7 +34,10 @@ from bargmann.chain import (
     assemble_matrix,
     build_hamiltonian,
     sector_basis,
+    solve,
 )
+from bargmann.errors import AmplitudeOverflow
+from bargmann.thermo import eigensolve
 
 from conftest import operator_terms
 
@@ -57,12 +61,13 @@ def reference_assemble(H, basis):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.complex128).tocsr()
 
 
-def assert_same_csr(H, spec):
+def assert_same_triplets(H, spec):
     got = assemble_matrix(H, sector_basis(spec))
-    want = reference_assemble(H, sector_basis(spec))
+    want = reference_assemble(H, sector_basis(spec)).toarray()
+    rows, cols = np.nonzero(want)
     assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
+    for name, b in (("rows", rows), ("cols", cols), ("vals", want[rows, cols])):
+        a = getattr(got, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
     return got
@@ -77,8 +82,21 @@ LADDER = [(HALF, 6), (Fraction(1), 4), (Fraction(3, 2), 3), (Fraction(2), 3)]
 def test_chain_ladder(spin, n, boundary, mode):
     spec = ChainSpec(n_sites=n, spin=spin, couplings=(0.7, -1.3, 0.45),
                      boundary=boundary, hbar=Fraction(2, 3), mode=mode)
-    M = assert_same_csr(build_hamiltonian(spec), spec)
+    M = assert_same_triplets(build_hamiltonian(spec), spec)
     assert M.nnz > 0
+    want = eigensolve(reference_assemble(build_hamiltonian(spec), sector_basis(spec)),
+                      compute_vectors=False)
+    got = solve(spec)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.residual_bound == want.residual_bound
+
+
+def test_overflowing_sum_is_rejected():
+    # each S^z S^z amplitude is finite, but the periodic N=3 diagonal sums three
+    spec = ChainSpec(n_sites=3, spin=HALF, couplings=(0, 0, 1.7e308), boundary=PERIODIC,
+                     hbar=Fraction(19, 10))
+    with pytest.raises(AmplitudeOverflow, match="summed matrix element"):
+        assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
 
 
 @st.composite
@@ -102,7 +120,7 @@ def preserving_terms(draw):
 @settings(max_examples=150)
 def test_random_sector_preserving_operators(H, twos, n):
     # conftest sites run 0..3, so n < 4 also puts terms outside the chain
-    assert_same_csr(H, ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=(1, 1, 1)))
+    assert_same_triplets(H, ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=(1, 1, 1)))
 
 
 EDGE_OPERATORS = {
@@ -120,7 +138,7 @@ EDGE_OPERATORS = {
 @pytest.mark.parametrize("n", [1, 3])
 def test_edge_operators(name, twos, n):
     H = EDGE_OPERATORS[name]
-    assert_same_csr(H, ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=(1, 1, 1)))
+    assert_same_triplets(H, ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=(1, 1, 1)))
 
 
 def test_edge_operator_values():

@@ -28,10 +28,15 @@ def write_state(tmp_path, entries, name="state.json"):
     return str(p)
 
 
-def run_cli(args):
+# `python -m bargmann.cli` with every import of scipy failing
+SCIPY_BLOCKED = ("import sys; sys.modules['scipy'] = None; "
+                 "from bargmann import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
+def run_cli(args, scipy_blocked=False):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "bargmann.cli", *args],
-                          env=env, capture_output=True)
+    head = ["-c", SCIPY_BLOCKED] if scipy_blocked else ["-m", "bargmann.cli"]
+    return subprocess.run([sys.executable, *head, *args], env=env, capture_output=True)
 
 
 class TestBasis:
@@ -114,6 +119,15 @@ class TestDiag:
         spec = write_spec(tmp_path, **{field: True})
         assert cli.main(["diag", "--spec", spec]) == 2
         assert capsys.readouterr() == ("", f"error: {field} must be a number, got True\n")
+
+    @pytest.mark.parametrize("command", [["diag"], ["thermo", "--temps", "1"], ["verify"]])
+    def test_overflowing_matrix_element_exit_2(self, tmp_path, capsys, command):
+        # each S^z S^z amplitude is finite; the diagonal sums of three bonds are not
+        spec = write_spec(tmp_path, n_sites=3, jx=0, jy=0, jz=1.7e308, hbar="19/10",
+                          boundary="periodic")
+        assert cli.main([*command, "--spec", spec]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a summed matrix element is beyond the float range\n")
 
     def test_sector_violation_exit_4(self, tmp_path, monkeypatch):
         import bargmann.chain as chainmod
@@ -309,6 +323,24 @@ class TestDeterminism:
         a = run_cli(["verify", "--spec", spec, "--random-trials", "2", "--seed", "1"])
         b = run_cli(["verify", "--spec", spec, "--random-trials", "2", "--seed", "2"])
         assert a.stdout != b.stdout
+
+
+class TestWithoutScipy:
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, bargmann.cli; print('scipy' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                           capture_output=True)
+        assert (r.returncode, r.stdout) == (0, b"False\n")
+
+    def test_same_bytes_with_scipy_blocked(self, tmp_path):
+        spec = write_spec(tmp_path, n_sites=3, jx=0.83, jy=-1.2, jz=0.4, boundary="periodic")
+        for args in (["diag"], ["thermo", "--temps", "0.5,1,2"],
+                     ["verify", "--random-trials", "1"]):
+            args = [*args, "--spec", spec]
+            free, blocked = run_cli(args), run_cli(args, scipy_blocked=True)
+            assert free.returncode == 0 and free.stdout
+            assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+                free.returncode, free.stdout, free.stderr)
 
 
 class TestExitCodes:

@@ -17,6 +17,7 @@ from bargmann.thermo import (
     HERMITICITY_TOL,
     MAX_DENSE_DIM,
     RESIDUAL_FACTOR,
+    SectorMatrix,
     Spectrum,
     _components,
     _triplets,
@@ -364,6 +365,21 @@ class TestTripletFrontEnd:
     def test_generated_sparse_hermitian(self, H):
         for form in (H, H.tocsr(), H.toarray()):
             assert_same_as_reference(form)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    def test_non_finite_entry(self, bad):
+        H = np.array([[bad, 0], [0, 1.0]])
+        forms = [*_forms(H).values(), SectorMatrix.from_triplets(2, [0, 1], [0, 1], [bad, 1])]
+        for form in forms:
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                eigensolve(form)
+
+    def test_duplicates_summing_beyond_float_range(self):
+        big = 1.7e308
+        for data in ([big, big], [math.inf, -math.inf]):
+            H = sp.coo_matrix((data, ([0, 0], [0, 0])), shape=(2, 2))
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                eigensolve(H)
 
     def test_negative_zero_is_zero(self):
         # the reference gathered a -0.0 into the block, where LAPACK's

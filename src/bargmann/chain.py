@@ -10,6 +10,7 @@ cross terms).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import numbers
@@ -36,6 +37,7 @@ OPEN = "open"
 PERIODIC = "periodic"
 COMPOSITIONAL = "compositional"
 PAPER_LITERAL = "paper_literal"
+INVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,12 @@ def _sector_monomial(sites, digits, twos: int) -> MultiIndex:
         if twos - a:
             exps[w_var(site)] = twos - a
     return MultiIndex(exps)
+
+
+def check_dimension(spec: ChainSpec, max_dim: int):
+    """Raise DimensionTooLarge when the sector dimension exceeds `max_dim`."""
+    if spec.dimension() > max_dim:
+        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {max_dim}")
 
 
 def sector_basis(spec: ChainSpec) -> SectorBasis:
@@ -298,16 +306,77 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
     return M
 
 
+def momentum_blocks(M: SectorMatrix, d: int, n_sites: int) -> SectorMatrix:
+    """The sector matrix M of a periodic chain in lattice-momentum states.
+
+    T moves the content of site i to site i+1 (i+1 taken mod n_sites), which
+    rotates the base-d digits of the basis index.  The representative a of an
+    orbit is its smallest index, P_a its period, and every r in the orbit is
+    r = T^l_r a.  For k = 2 pi m / n_sites with m P_a = 0 mod n_sites, the
+    normalized state |a(k)> is proportional to sum_l e^{ikl} T^l |a>, and
+
+        K[a(k), b(k)] = sum over r of M[r, b] e^{-ik l_r} sqrt(P_b / P_a),
+
+    summed over the entries of the representative columns b, r running over
+    the orbit of a.  The result is indexed by m, then a, ascending: one block
+    per momentum, its size the number of orbits compatible with m, and the
+    sizes summing to the dimension.  K is summed first and then averaged with
+    its mirror, K <- (K + K^dag)/2, so it is Hermitian by construction.
+
+    Raises RuntimeError unless max|M(Tr, Tc) - M(r, c)| <= 1e-12 max|M|.
+    """
+    n = M.n
+    orbit = np.empty((n_sites, n), dtype=np.int64)   # orbit[l] = T^l of each index
+    orbit[0] = np.arange(n)
+    for l in range(1, n_sites):
+        orbit[l] = orbit[l - 1] // d + orbit[l - 1] % d * d ** (n_sites - 1)
+    T = orbit[1]
+    drift = SectorMatrix.from_triplets(n, np.concatenate([M.rows, T[M.rows]]),
+                                       np.concatenate([M.cols, T[M.cols]]),
+                                       np.concatenate([M.vals, -M.vals]))
+    dev, scale = (np.abs(x).max(initial=0.0) for x in (drift.vals, M.vals))
+    if dev > INVARIANCE_TOL * scale:
+        raise RuntimeError(f"sector matrix is not translation invariant: "
+                           f"max |M(Tr, Tc) - M(r, c)| = {dev:.3e} on max |M| = {scale:.3e}")
+    rep = orbit.min(axis=0)
+    shift = -orbit.argmin(axis=0) % n_sites          # r = T^shift[r] rep[r]
+    period = n_sites // (orbit == orbit[0]).sum(axis=0)
+    reps = np.flatnonzero(rep == orbit[0])
+    momenta, which = np.nonzero(np.arange(n_sites)[:, None] * period[reps] % n_sites == 0)
+    pos = np.full((n_sites, n), -1, dtype=np.int64)  # K index of (m, representative)
+    pos[momenta, reps[which]] = np.arange(len(momenta))
+    hit = rep[M.cols] == M.cols
+    b, r = M.cols[hit], M.rows[hit]
+    a = rep[r]
+    v = M.vals[hit] * np.sqrt(period[b] / period[a])
+    m = np.arange(n_sites)[:, None]
+    phase = np.exp(-2j * np.pi * np.arange(n_sites) / n_sites)[m * shift[r] % n_sites]
+    krow, kcol = pos[m, a], pos[m, b]
+    keep = (krow >= 0) & (kcol >= 0)
+    K = SectorMatrix.from_triplets(n, krow[keep], kcol[keep], (v * phase)[keep])
+    return SectorMatrix.from_triplets(n, np.concatenate([K.rows, K.cols]),
+                                      np.concatenate([K.cols, K.rows]),
+                                      np.concatenate([K.vals, K.vals.conj()]) / 2)
+
+
+def momentum_reduction(spec: ChainSpec):
+    """The `reduce` argument of `eigensolve` for the chain's sector matrix:
+    `momentum_blocks` for a periodic chain, None for an open one."""
+    if spec.boundary != PERIODIC:
+        return None
+    return functools.partial(momentum_blocks, d=int(2 * spec.spin) + 1, n_sites=spec.n_sites)
+
+
 def solve(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
     """Eigenvalues of the chain: sector basis, exact normal-ordered H, sector
-    matrix, eigensolve (no eigenvectors).
+    matrix, eigensolve (no eigenvectors).  A periodic chain is solved in
+    lattice-momentum blocks (`momentum_reduction`); the checks of
+    `eigensolve` still run on the sector matrix itself.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds `max_dim`.
     """
-    if spec.dimension() > max_dim:
-        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {max_dim}")
+    check_dimension(spec, max_dim)
     basis = sector_basis(spec)
     M = assemble_matrix(build_hamiltonian(spec), basis)
-    return eigensolve(M, compute_vectors=False, max_dim=max_dim)
-
+    return eigensolve(M, compute_vectors=False, max_dim=max_dim, reduce=momentum_reduction(spec))

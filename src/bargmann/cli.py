@@ -7,8 +7,8 @@ Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
     2  malformed input (bad spec/state/points file, parse error, bad grid,
-       a negative trial count, an amplitude or a summed matrix element
-       beyond the float range)
+       a negative trial count, a tolerance that is not a finite number >= 0,
+       an amplitude or a summed matrix element beyond the float range)
     3  requested dimension exceeds the cap (override: BARGMANN_MAX_DIM)
     4  sector violation (operator does not conserve per-site boson number)
 
@@ -42,6 +42,7 @@ from .chain import (
     PAPER_LITERAL,
     PERIODIC,
     ChainSpec,
+    check_dimension,
     mode_difference,
     sector_basis,
     site_magnetization,
@@ -162,8 +163,10 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_thermo(args) -> int:
-    s = solve(_load_spec(args), _max_dim())
-    points = thermo_sweep(s, _parse_grid(args))
+    spec, cap = _load_spec(args), _max_dim()
+    check_dimension(spec, cap)
+    grid = _parse_grid(args)
+    points = thermo_sweep(solve(spec, cap), grid)
     if args.format == "json":
         rows = [{"T": p.temperature, "Z": p.Z, "F": p.free_energy, "S": p.entropy,
                  "E_mean": p.mean_energy} for p in points]
@@ -182,6 +185,8 @@ def _verify_once(spec: ChainSpec, tol: float, cap: int):
 def cmd_verify(args) -> int:
     if args.random_trials < 0:
         raise ValueError("random-trials must be >= 0")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("tol must be a finite number >= 0")
     spec = _load_spec(args)
     cap = _max_dim()
     rep = _verify_once(spec, args.tol, cap)

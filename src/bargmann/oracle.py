@@ -58,7 +58,9 @@ def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndar
     (d, d, d, d) array and added once into the view of H that is diagonal on
     every other site: with a < b, H is indexed as (L, d, M, d, R) x
     (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the view
-    takes equal L, M and R indices on both sides.
+    takes equal L, M and R indices on both sides.  Every bond operator is
+    real (S_y (x) S_y is), so H is float64; a nonzero imaginary part in a
+    bond block is an AssertionError.
     """
     dim = spec.dimension()
     if dim > max_dim:
@@ -66,7 +68,7 @@ def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndar
     mats = spin_matrices(spec.spin, float(spec.hbar))
     d = int(2 * spec.spin) + 1
     n = spec.n_sites
-    H = np.zeros((dim, dim), dtype=np.complex128)
+    H = np.zeros((dim, dim))
     item = H.itemsize
     for (i, j) in spec.bonds():
         a, b = min(i, j), max(i, j)
@@ -81,7 +83,8 @@ def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndar
                           strides=(d * M * d * R * diag, d * R * diag, diag,
                                    M * d * R * dim * item, R * dim * item,
                                    M * d * R * item, R * item))
-        view += h
+        assert not h.imag.any(), "bond operator is not real"
+        view += h.real
     return H
 
 

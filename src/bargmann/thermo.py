@@ -144,26 +144,10 @@ def _blocks_by_size(lab: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
-    """Hermitian eigendecomposition with verified residuals.
-
-    H (dense, `SectorMatrix`, or anything with `tocoo`) is read once as its
-    nonzero (row, col, value) triplets, and the checks run on those: the Hermiticity deviation pairs
-    each (r, c) with its mirror (c, r), a missing mirror counting as 0.  H is
-    split into the connected components of its nonzero pattern (symmetry
-    sectors show up here without being named); the components of each size
-    are scattered into one (k, s, s) stack and solved by one batched `eigh`,
-    in real arithmetic when the imaginary part of H is exactly zero.  No
-    n x n array is formed unless eigenvectors are asked for.  Eigenvalues
-    are merged with a stable sort; eigenvectors are returned in the original
-    basis order.  `residual_bound` is the largest ||H v - lambda v|| over all
-    eigenpairs, which equals the per-block value because H is zero between
-    blocks.
-
-    Raises ValueError for a non-square H or an inf or NaN entry,
-    DimensionTooLarge beyond `max_dim` (checked first), NotHermitian when
-    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual exceeds 1e-8 * max|H| * dim.
-    """
+def _gated(H, max_dim: int):
+    """H's nonzero triplets (n, rows, cols, vals) and its scale max|H|, after
+    the checks of `eigensolve`.  `vals` are float64 when the imaginary part
+    of H is exactly zero, complex128 otherwise."""
     n, rows, cols, vals = _triplets(H, max_dim)
     if not vals.imag.any():
         vals = np.ascontiguousarray(vals.real)
@@ -173,7 +157,15 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) ->
     dev = np.abs(vals - partner.conj()).max(initial=0.0)
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
-    scale = np.abs(vals).max(initial=0.0)
+    return n, rows, cols, vals, np.abs(vals).max(initial=0.0)
+
+
+def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Solve the Hermitian matrix with these row-major nonzero triplets block
+    by block: the connected components of its nonzero pattern, those of each
+    size scattered into one (k, s, s) stack for one batched `eigh` in the
+    dtype of `vals`.  Returns the (index sets, eigenvalues, eigenvectors) of
+    each size group and the largest residual ||B v - lambda v||."""
     blocks = _blocks_by_size(_components(rows, cols, n))
     size, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
     for idx in blocks:
@@ -191,6 +183,44 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM) ->
         residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
         bound = max(bound, float(residual.max()))
         groups.append((idx, w, V))
+    return groups, bound
+
+
+def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
+               reduce=None) -> Spectrum:
+    """Hermitian eigendecomposition with verified residuals.
+
+    H (dense, `SectorMatrix`, or anything with `tocoo`) is read once as its
+    nonzero (row, col, value) triplets, and the checks run on those: the
+    Hermiticity deviation pairs each (r, c) with its mirror (c, r), a missing
+    mirror counting as 0.  H is split into the connected components of its
+    nonzero pattern (symmetry sectors show up here without being named); the
+    components of each size are scattered into one (k, s, s) stack and
+    solved by one batched `eigh`, in real arithmetic when the imaginary part
+    of H is exactly zero.  No n x n array is formed unless eigenvectors are
+    asked for.  Eigenvalues are merged with a stable sort; eigenvectors are
+    returned in the original basis order.  `residual_bound` is the largest
+    ||H v - lambda v|| over all eigenpairs, which equals the per-block value
+    because H is zero between blocks.
+
+    `reduce(M)`, if given, maps the checked H (as a `SectorMatrix`) to a
+    Hermitian `SectorMatrix` of the same dimension that is unitarily
+    equivalent to it and finer in blocks; that matrix is solved in place of
+    H, while the gates and the residual cap below still read H.  Eigenvectors
+    are then not available.
+
+    Raises ValueError for a non-square H or an inf or NaN entry,
+    DimensionTooLarge beyond `max_dim` (checked first), NotHermitian when
+    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual
+    exceeds 1e-8 * max|H| * dim.
+    """
+    n, rows, cols, vals, scale = _gated(H, max_dim)
+    if reduce is not None:
+        if compute_vectors:
+            raise ValueError("eigenvectors are not available for a reduced matrix")
+        K = reduce(SectorMatrix(n, rows, cols, vals.astype(np.complex128, copy=False)))
+        rows, cols, vals = K.rows, K.cols, K.vals
+    groups, bound = _block_eigh(n, rows, cols, vals)
     cap = RESIDUAL_FACTOR * scale * n
     if bound > cap:
         raise RuntimeError(f"eigendecomposition residual {bound:.3e} exceeds {cap:.3e}")

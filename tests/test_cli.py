@@ -182,6 +182,32 @@ class TestThermo:
         assert cli.main(["thermo", "--spec", spec, *grid]) == 2
         assert capsys.readouterr() == ("", "error: temperatures must be finite\n")
 
+    @pytest.mark.parametrize("grid", [["--temps", "abc"], ["--temps", "1,-2"],
+                                      ["--tmin", "1"], ["--tmin", "1", "--tmax", "2",
+                                                        "--tpoints", "0"]])
+    def test_bad_grid_exit_2_before_solving(self, tmp_path, capsys, monkeypatch, grid):
+        import bargmann.cli as climod
+
+        def fail(*args):
+            raise AssertionError("solve called before the grid was checked")
+
+        monkeypatch.setattr(climod, "solve", fail)
+        spec = write_spec(tmp_path, n_sites=12, jx=1.0, jy=0.7, jz=0.3, boundary="periodic")
+        assert climod.main(["thermo", "--spec", spec, *grid]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_over_cap_with_bad_grid_exit_3(self, tmp_path, capsys, monkeypatch):
+        import bargmann.cli as climod
+
+        def fail(*args):
+            raise AssertionError("solve called beyond the cap")
+
+        monkeypatch.setattr(climod, "solve", fail)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "8")
+        spec = write_spec(tmp_path, n_sites=4)
+        assert climod.main(["thermo", "--spec", spec, "--temps", "abc"]) == 3
+        assert capsys.readouterr() == ("", "error: dimension 16 exceeds cap 8\n")
+
     def test_json_format(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
         assert cli.main(["thermo", "--spec", spec, "--temps", "1",
@@ -225,6 +251,17 @@ class TestVerify:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: random-trials must be >= 0\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
+    def test_nonsense_tolerance_exit_2(self, tmp_path, capsys, tol):
+        spec = write_spec(tmp_path)
+        assert cli.main(["verify", "--spec", spec, f"--tol={tol}"]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be a finite number >= 0\n")
+
+    def test_zero_tolerance_accepted(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, jx=0.0, jy=0.0)   # diagonal: both spectra exact
+        assert cli.main(["verify", "--spec", spec, "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_corrupted_pipeline_fails(self, tmp_path, capsys, monkeypatch):
         import bargmann.cli as climod

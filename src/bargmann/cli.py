@@ -118,6 +118,7 @@ def _load_state(path) -> PolynomialState:
 
 def cmd_basis(args) -> int:
     spec = _load_spec(args)
+    check_dimension(spec, _max_dim())
     basis = sector_basis(spec)
     lines = []
     for i, m in enumerate(basis.states):
@@ -302,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="cross-check the sector matrix against the "
                                        "tensor-product oracle")
     common(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                    help="eigenvalues must agree to tol * max(1, max |eigenvalue|): "
+                         "absolute within [-1, 1], relative beyond "
+                         f"(default {DEFAULT_TOL:g})")
     sp.add_argument("--random-trials", type=int, default=0,
                     help="extra random-coupling comparisons")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -113,25 +113,30 @@ class SpectrumComparison:
     dimension: int
     max_abs_diff: float
     tol: float
+    bound: float  # tol * max(1, max |lambda|): the largest diff that passes
     passed: bool
     worst: tuple  # (index, a, b, |a-b|) sorted by diff descending
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status}: max |diff| = {self.max_abs_diff:.3e} (tol {self.tol:.3e}, "
-                 f"dim {self.dimension})"]
+        lines = [f"{status}: max |diff| = {self.max_abs_diff:.3e} (bound {self.bound:.3e} "
+                 f"from tol {self.tol:.3e}, dim {self.dimension})"]
         for idx, a, b, dd in self.worst:
             lines.append(f"  [{idx}] {a:+.12e} vs {b:+.12e}  |diff| = {dd:.3e}")
         return "\n".join(lines)
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumComparison:
+    """Pair the ascending eigenvalues of `a` and `b` and pass when
+    max |a_i - b_i| <= tol * max(1, max |lambda|) over both spectra: `tol` is
+    absolute for spectra within [-1, 1] and relative beyond."""
     if len(a) != len(b):
         raise DimensionMismatch(f"dimensions differ: {len(a)} vs {len(b)}")
     diff = np.abs(a.eigenvalues - b.eigenvalues)
     max_diff = float(diff.max()) if len(a) else 0.0
+    bound = tol * max(1.0, *(float(np.abs(s.eigenvalues).max(initial=0.0)) for s in (a, b)))
     order = np.argsort(diff)[::-1][: min(5, len(a))]
     worst = tuple((int(i), float(a.eigenvalues[i]), float(b.eigenvalues[i]), float(diff[i]))
                   for i in order)
     return SpectrumComparison(dimension=len(a), max_abs_diff=max_diff, tol=float(tol),
-                              passed=bool(max_diff <= tol), worst=worst)
+                              bound=float(bound), passed=bool(max_diff <= bound), worst=worst)

@@ -24,7 +24,9 @@ RESIDUAL_FACTOR = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with an a-posteriori residual bound."""
+    """Ascending eigenvalues with an a-posteriori bound: the largest residual
+    ||H v - lambda v|| when eigenvectors were computed, the moment certificate
+    of `eigensolve` when they were not."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
@@ -160,18 +162,49 @@ def _gated(H, max_dim: int):
     return n, rows, cols, vals, np.abs(vals).max(initial=0.0)
 
 
-def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+def _unit(scale: float) -> float:
+    """The largest power of two <= scale (1 for 0).  Dividing by it is exact
+    and brings entries of magnitude <= scale into [0, 2), where their squares
+    cannot overflow."""
+    return math.ldexp(1.0, math.frexp(scale)[1] - 1) if scale else 1.0
+
+
+def _sq_sum(x: np.ndarray, subscripts: str) -> np.ndarray:
+    """`np.einsum(subscripts, x, x)` with |x|^2 in place of x^2."""
+    out = np.einsum(subscripts, x.real, x.real)
+    return out + np.einsum(subscripts, x.imag, x.imag) if np.iscomplexobj(x) else out
+
+
+def _certificate(w: np.ndarray, trace, fro2, unit: float) -> float:
+    """The eigenvalues `w` (last axis) against the trace and the squared
+    Frobenius norm of their matrix, all in units of `unit`: the largest of
+    c1 = |sum w - trace| and c2 = |sum w^2 - fro2| / (2 sqrt(fro2)), c2 = 0
+    for a zero matrix, in absolute units.  Both are invariant under any
+    unitary similarity, and one eigenvalue moved by d gives c1 = d."""
+    c1 = np.abs(w.sum(axis=-1) - trace)
+    fro = np.sqrt(fro2)
+    c2 = np.divide(np.abs((w * w).sum(axis=-1) - fro2), 2 * fro,
+                   out=np.zeros_like(fro), where=fro > 0)
+    return float(np.maximum(c1, c2).max(initial=0.0)) * unit
+
+
+def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                compute_vectors: bool):
     """Solve the Hermitian matrix with these row-major nonzero triplets block
     by block: the connected components of its nonzero pattern, those of each
-    size scattered into one (k, s, s) stack for one batched `eigh` in the
-    dtype of `vals`.  Returns the (index sets, eigenvalues, eigenvectors) of
-    each size group and the largest residual ||B v - lambda v||."""
+    size scattered into one (k, s, s) stack and solved in the dtype of `vals`.
+    Returns the (index sets, eigenvalues, eigenvectors) of each size group and
+    a bound.  With vectors, each stack goes through one batched `eigh` and the
+    bound is the largest residual ||B v - lambda v||; without, through
+    `eigvalsh`, the eigenvectors are None and the bound is the largest
+    `_certificate` of a block."""
     blocks = _blocks_by_size(_components(rows, cols, n))
     size, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
     for idx in blocks:
         size[idx] = idx.shape[1]
         block[idx] = np.arange(len(idx))[:, None]
         within[idx] = np.arange(idx.shape[1])
+    unit = None if compute_vectors else _unit(np.abs(vals).max(initial=0.0))
     groups = []
     bound = 0.0
     for idx in blocks:
@@ -179,16 +212,23 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         r, c = rows[hit], cols[hit]
         B = np.zeros(idx.shape + idx.shape[1:], dtype=vals.dtype)
         B[block[r], within[r], within[c]] = vals[hit]
-        w, V = np.linalg.eigh(B)
-        residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
-        bound = max(bound, float(residual.max()))
+        if compute_vectors:
+            w, V = np.linalg.eigh(B)
+            residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
+            bound = max(bound, float(residual.max()))
+        else:
+            w, V = np.linalg.eigvalsh(B), None
+            B /= unit
+            bound = max(bound, _certificate(w / unit, np.trace(B, axis1=1, axis2=2).real,
+                                            _sq_sum(B, "kij,kij->k"), unit))
         groups.append((idx, w, V))
     return groups, bound
 
 
 def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
                reduce=None) -> Spectrum:
-    """Hermitian eigendecomposition with verified residuals.
+    """Hermitian eigensolve, with eigenvectors and verified residuals or with
+    eigenvalues alone and a moment certificate.
 
     H (dense, `SectorMatrix`, or anything with `tocoo`) is read once as its
     nonzero (row, col, value) triplets, and the checks run on those: the
@@ -196,36 +236,54 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
     mirror counting as 0.  H is split into the connected components of its
     nonzero pattern (symmetry sectors show up here without being named); the
     components of each size are scattered into one (k, s, s) stack and
-    solved by one batched `eigh`, in real arithmetic when the imaginary part
-    of H is exactly zero.  No n x n array is formed unless eigenvectors are
-    asked for.  Eigenvalues are merged with a stable sort; eigenvectors are
-    returned in the original basis order.  `residual_bound` is the largest
-    ||H v - lambda v|| over all eigenpairs, which equals the per-block value
-    because H is zero between blocks.
+    solved at once, in real arithmetic when the imaginary part of H is
+    exactly zero.  No n x n array is formed unless eigenvectors are asked
+    for.  Eigenvalues are merged with a stable sort; eigenvectors are
+    returned in the original basis order.
+
+    With `compute_vectors`, each stack goes through a batched `eigh`, and
+    `residual_bound` is the largest ||H v - lambda v|| over all eigenpairs,
+    which equals the per-block value because H is zero between blocks.
+    Without, each stack goes through `eigvalsh` and `residual_bound` is a
+    moment certificate: the largest of c1 = |sum lambda - tr B| and
+    c2 = |sum lambda^2 - ||B||_F^2| / (2 ||B||_F) (c2 = 0 for a zero B), over
+    every block B and over H itself against all n eigenvalues.  Both moments
+    are invariant under unitary similarity, and one eigenvalue moved by d
+    gives c1 = d.
 
     `reduce(M)`, if given, maps the checked H (as a `SectorMatrix`) to a
     Hermitian `SectorMatrix` of the same dimension that is unitarily
     equivalent to it and finer in blocks; that matrix is solved in place of
-    H, while the gates and the residual cap below still read H.  Eigenvectors
-    are then not available.
+    H, while the gates, the certificate on H and the cap below still read H,
+    so a reduction that changes tr H or ||H||_F fails the certificate.
+    Eigenvectors are then not available.
 
     Raises ValueError for a non-square H or an inf or NaN entry,
     DimensionTooLarge beyond `max_dim` (checked first), NotHermitian when
-    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual
-    exceeds 1e-8 * max|H| * dim.
+    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual or
+    the certificate exceeds 1e-8 * max|H| * dim.
     """
     n, rows, cols, vals, scale = _gated(H, max_dim)
+    if not compute_vectors:
+        unit = _unit(scale)
+        v = vals / unit
+        moments = v[rows == cols].real.sum(), _sq_sum(v, "i,i")
     if reduce is not None:
         if compute_vectors:
             raise ValueError("eigenvectors are not available for a reduced matrix")
         K = reduce(SectorMatrix(n, rows, cols, vals.astype(np.complex128, copy=False)))
         rows, cols, vals = K.rows, K.cols, K.vals
-    groups, bound = _block_eigh(n, rows, cols, vals)
-    cap = RESIDUAL_FACTOR * scale * n
-    if bound > cap:
-        raise RuntimeError(f"eigendecomposition residual {bound:.3e} exceeds {cap:.3e}")
+    groups, bound = _block_eigh(n, rows, cols, vals, compute_vectors)
     flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
     order = np.argsort(flat, kind="stable")
+    eigenvalues = flat[order]
+    what = "eigendecomposition residual"
+    if not compute_vectors:
+        what = "eigenvalue moment certificate"
+        bound = max(bound, _certificate(eigenvalues / unit, *moments, unit))
+    cap = RESIDUAL_FACTOR * scale * n
+    if bound > cap:
+        raise RuntimeError(f"{what} {bound:.3e} exceeds {cap:.3e}")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -236,7 +294,7 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
             pos = rank[start:start + idx.size].reshape(idx.shape)
             evecs[idx[:, :, None], pos[:, None, :]] = V
             start += idx.size
-    return Spectrum(eigenvalues=flat[order], eigenvectors=evecs, residual_bound=bound)
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=evecs, residual_bound=bound)
 
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:

@@ -63,6 +63,21 @@ class TestBasis:
         assert lines[0].split("|")[0].strip() == "0: w[0] * w[1] * w[2]"
         assert lines[7].split("|")[0].strip() == "7: z[0] * z[1] * z[2]"
 
+    def test_dimension_cap_exit_3_before_building_states(self, tmp_path, capsys, monkeypatch):
+        def fail(spec):
+            raise AssertionError("basis built before the dimension check")
+
+        monkeypatch.setattr(cli, "sector_basis", fail)
+        spec = write_spec(tmp_path, n_sites=40)
+        assert cli.main(["basis", "--spec", spec]) == 3
+        assert capsys.readouterr() == ("", "error: dimension 1099511627776 exceeds cap 8192\n")
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "4")
+        assert cli.main(["basis", "--spec", write_spec(tmp_path, n_sites=3)]) == 3
+        monkeypatch.undo()
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "8")
+        assert cli.main(["basis", "--spec", write_spec(tmp_path, n_sites=3)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 8
+
 
 class TestDiag:
     def test_spectrum_json(self, tmp_path, capsys):
@@ -262,6 +277,20 @@ class TestVerify:
         spec = write_spec(tmp_path, jx=0.0, jy=0.0)   # diagonal: both spectra exact
         assert cli.main(["verify", "--spec", spec, "--tol", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("chain", [
+        {"n_sites": 4, "spin": "1", "jx": 1e-8, "jy": 2e-8, "jz": 1e8},
+        {"n_sites": 4, "spin": "3/2", "jx": 1e8, "jy": 7e7, "jz": 3e7, "boundary": "periodic"},
+    ])
+    def test_tolerance_scales_with_the_spectrum(self, tmp_path, capsys, chain):
+        # eigenvalues near 1e9 agree to ~1e-15 relative, far beyond an
+        # absolute 1e-9; the report keeps the tolerance as given
+        spec = tmp_path / "chain.json"
+        spec.write_text(json.dumps(chain))
+        assert cli.main(["verify", "--spec", str(spec)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["passed"] is True and obj["tol"] == 1e-9
+        assert 1e-9 < obj["max_abs_diff"] <= 1e-9 * max(abs(w[1]) for w in obj["worst"])
 
     def test_corrupted_pipeline_fails(self, tmp_path, capsys, monkeypatch):
         import bargmann.cli as climod

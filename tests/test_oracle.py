@@ -187,6 +187,21 @@ class TestCompareSpectra:
         assert rep.max_abs_diff == pytest.approx(1.0)
         assert "FAIL" in str(rep)
 
+    def test_tolerance_is_relative_beyond_one(self):
+        a = Spectrum(np.array([-3e8, 1.0, 2e8]))
+        near = Spectrum(np.array([-3e8 + 0.25, 1.0, 2e8]))
+        far = Spectrum(np.array([-3e8 + 0.5, 1.0, 2e8]))
+        assert compare_spectra(a, near, 1e-9).passed       # 0.25 <= 1e-9 * 3e8
+        assert not compare_spectra(a, far, 1e-9).passed
+        rep = compare_spectra(a, far, 1e-9)
+        assert rep.tol == 1e-9 and rep.bound == pytest.approx(0.3)
+        assert "bound 3.000e-01 from tol 1.000e-09" in str(rep)
+
+    def test_tolerance_is_absolute_within_one(self):
+        a = Spectrum(np.array([-0.5, 1e-3]))
+        assert compare_spectra(a, Spectrum(np.array([-0.5, 1e-3 + 9e-10])), 1e-9).passed
+        assert not compare_spectra(a, Spectrum(np.array([-0.5, 1e-3 + 2e-9])), 1e-9).passed
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compare_spectra(Spectrum(np.array([0.0])), Spectrum(np.array([0.0, 1.0])), 1)

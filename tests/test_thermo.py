@@ -10,7 +10,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 
 from bargmann.algebra import MultiIndex, PolynomialState, w_var, z_var
-from bargmann.chain import ChainSpec, assemble_matrix, build_hamiltonian, sector_basis
+from bargmann.chain import (
+    ChainSpec,
+    assemble_matrix,
+    build_hamiltonian,
+    momentum_reduction,
+    sector_basis,
+    solve,
+)
 from bargmann.dsl import parse
 from bargmann.errors import DimensionTooLarge, NotHermitian, NotNormalized
 from bargmann.thermo import (
@@ -19,8 +26,11 @@ from bargmann.thermo import (
     RESIDUAL_FACTOR,
     SectorMatrix,
     Spectrum,
+    _certificate,
     _components,
+    _sq_sum,
     _triplets,
+    _unit,
     eigensolve,
     husimi_q,
     partition_function,
@@ -218,7 +228,8 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     """The dense front end that the triplet front end replaced: H is made a
     dense complex array, checked and labelled entry-wise, and each block is
     gathered from it.  The eigensolves, the checks' thresholds and the merge
-    are the same."""
+    are the same; without eigenvectors, each block is certified by its
+    moments, and so is A against all of its eigenvalues."""
     if hasattr(H, "toarray"):
         H = H.toarray()
     A = np.asarray(H, dtype=np.complex128)
@@ -233,6 +244,7 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     scale = np.abs(A).max() if n else 0.0
+    unit = _unit(scale)
     lab = _reference_components(A)
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
@@ -241,15 +253,28 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     for s in np.unique(sizes):
         idx = order[starts[sizes == s][:, None] + np.arange(s)]
         B = A[idx[:, :, None], idx[:, None, :]]
-        w, V = np.linalg.eigh(B)
-        residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
-        bound = max(bound, float(residual.max()))
+        if compute_vectors:
+            w, V = np.linalg.eigh(B)
+            residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
+            bound = max(bound, float(residual.max()))
+        else:
+            w, V = np.linalg.eigvalsh(B), None
+            B = B / unit
+            bound = max(bound, _certificate(w / unit, np.trace(B, axis1=1, axis2=2).real,
+                                            _sq_sum(B, "kij,kij->k"), unit))
         groups.append((idx, w, V))
-    cap = RESIDUAL_FACTOR * scale * n
-    if bound > cap:
-        raise RuntimeError(f"eigendecomposition residual {bound:.3e} exceeds {cap:.3e}")
     flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
     order = np.argsort(flat, kind="stable")
+    what = "eigendecomposition residual"
+    if not compute_vectors:
+        what = "eigenvalue moment certificate"
+        r, c = np.nonzero(A)
+        v = A[r, c] / unit
+        bound = max(bound, _certificate(flat[order] / unit, v[r == c].real.sum(),
+                                        _sq_sum(v, "i,i"), unit))
+    cap = RESIDUAL_FACTOR * scale * n
+    if bound > cap:
+        raise RuntimeError(f"{what} {bound:.3e} exceeds {cap:.3e}")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -406,6 +431,102 @@ class TestTripletFrontEnd:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+
+HALF = Fraction(1, 2)
+VECTOR_FREE_LADDER = ([(Fraction(0), 3)] + [(HALF, n) for n in (2, 3, 5, 8, 10)]
+                      + [(Fraction(1), n) for n in (2, 4, 6)]
+                      + [(Fraction(3, 2), n) for n in (2, 3, 5)]
+                      + [(Fraction(2), n) for n in (2, 4)])
+VECTOR_FREE_COUPLINGS = [(1e-8, 2e-8, -3e-8), (0.7, -1.3, 0.45), (1.0, 1.0, 0.5), (1e8, 7e7, 3e7)]
+
+
+def _shift_one_eigenvalue(monkeypatch, eps):
+    """Make `np.linalg.eigvalsh` move the top eigenvalue of the first matrix
+    of each stack by eps."""
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        w = real_eigvalsh(a)
+        w[(0,) * (w.ndim - 1) + (-1,)] += eps
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+class TestVectorFree:
+    """`eigvalsh` and the moment certificate against `eigh` and its residual."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_cases_match_eigh(self, case):
+        H = BLOCKED_CASES[case]()
+        want = eigensolve(H, compute_vectors=True).eigenvalues
+        got = eigensolve(H, compute_vectors=False)
+        scale = np.abs(want).max(initial=0.0)
+        assert got.eigenvectors is None
+        assert np.abs(got.eigenvalues - want).max(initial=0.0) <= 1e-12 * scale
+        assert got.residual_bound <= 1e-12 * scale
+
+    @pytest.mark.parametrize("spin,n", VECTOR_FREE_LADDER)
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("mode", ["compositional", "paper_literal"])
+    def test_chain_ladder_matches_eigh(self, spin, n, boundary, mode):
+        for couplings in VECTOR_FREE_COUPLINGS:
+            spec = ChainSpec(n_sites=n, spin=spin, couplings=couplings, boundary=boundary,
+                             mode=mode)
+            M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+            want = eigensolve(M, compute_vectors=True).eigenvalues
+            scale = np.abs(want).max(initial=0.0)
+            for got in (eigensolve(M, compute_vectors=False), solve(spec)):
+                assert np.abs(got.eigenvalues - want).max() <= 1e-12 * scale, couplings
+                assert got.residual_bound <= 1e-12 * scale, couplings
+
+    def test_certificate_cap_uses_full_dimension_and_scale(self, monkeypatch):
+        # eight 1x1 blocks; the cap is 1e-8 * 100 * 8 = 8e-6, and one eigenvalue
+        # moved by d gives a certificate of d
+        H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
+        _shift_one_eigenvalue(monkeypatch, 5e-6)
+        assert eigensolve(H, compute_vectors=False).residual_bound == pytest.approx(5e-6)
+        _shift_one_eigenvalue(monkeypatch, 1e-5)
+        with pytest.raises(RuntimeError, match="certificate .* exceeds 8.000e-06"):
+            eigensolve(H, compute_vectors=False)
+
+    def test_shifted_chain_solve(self, monkeypatch):
+        spec = ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic")
+        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+        cap = RESIDUAL_FACTOR * np.abs(M.vals).max() * M.n
+        # one eigenvalue moves per stack, and the certificate on M sums them
+        _shift_one_eigenvalue(monkeypatch, 0.01 * cap)
+        assert 0.01 * cap <= solve(spec).residual_bound <= cap
+        _shift_one_eigenvalue(monkeypatch, 2 * cap)
+        with pytest.raises(RuntimeError, match="exceeds"):
+            solve(spec)
+
+    @pytest.mark.parametrize("couplings", [(1.0, 0.7, 0.3), (1.0, 1.0, 0.0)])
+    def test_reduction_not_unitary_raises(self, couplings):
+        # each block of 1.01 K is solved correctly, so only the certificate on
+        # M sees the wrong spectrum; with jz = 0, tr M = 0 and c2 sees it
+        spec = ChainSpec(n_sites=6, spin=HALF, couplings=couplings, boundary="periodic")
+        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+        reduce = momentum_reduction(spec)
+
+        def scaled(M):
+            K = reduce(M)
+            return SectorMatrix(K.n, K.rows, K.cols, 1.01 * K.vals)
+
+        assert eigensolve(M, compute_vectors=False, reduce=reduce).residual_bound <= 1e-13
+        with pytest.raises(RuntimeError, match="moment certificate"):
+            eigensolve(M, compute_vectors=False, reduce=scaled)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_certificate_at_extreme_scales(self, factor):
+        # squared entries beyond the float range would make the moments inf
+        H = _random_hermitian(12)
+        want = eigensolve(H, compute_vectors=False)
+        got = eigensolve(factor * H, compute_vectors=False)
+        scale = factor * np.abs(want.eigenvalues).max()
+        assert np.abs(got.eigenvalues - factor * want.eigenvalues).max() <= 1e-12 * scale
+        assert 0 <= got.residual_bound <= 1e-12 * scale
 
 
 class TestPartitionFunction:

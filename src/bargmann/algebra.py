@@ -109,7 +109,6 @@ class RationalComplex:
 
 
 RC_ZERO = RationalComplex()
-RC_ONE = RationalComplex(Fraction(1))
 
 
 class MultiIndex:
@@ -155,9 +154,6 @@ class MultiIndex:
 
     def variables(self):
         return tuple(v for v, _ in self._items)
-
-    def total_degree(self) -> int:
-        return sum(e for _, e in self._items)
 
     def sort_key(self):
         return tuple((v.site, int(v.flavor), e) for v, e in self._items)

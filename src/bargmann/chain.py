@@ -30,14 +30,23 @@ from .algebra import (
     z_var,
 )
 from .angular import j_operator
-from .errors import AmplitudeOverflow, DimensionTooLarge, SectorViolation
-from .thermo import MAX_DENSE_DIM, SectorMatrix, Spectrum, eigensolve
+from .errors import AmplitudeOverflow, SectorViolation
+from .thermo import SectorMatrix, Spectrum, check_cap, eigensolve
 
 OPEN = "open"
 PERIODIC = "periodic"
 COMPOSITIONAL = "compositional"
 PAPER_LITERAL = "paper_literal"
 INVARIANCE_TOL = 1e-12
+
+
+def exact_number(value, name: str) -> Fraction:
+    """`Fraction(value)`, with an infinite value or a zero denominator as a
+    ValueError that names the field."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,9 +63,9 @@ class ChainSpec:
                         ("hbar", self.hbar)]:
             if isinstance(v, bool):
                 raise ValueError(f"{name} must be a number, got {v!r}")
-        object.__setattr__(self, "spin", Fraction(self.spin))
+        object.__setattr__(self, "spin", exact_number(self.spin, "spin"))
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        object.__setattr__(self, "hbar", Fraction(self.hbar))
+        object.__setattr__(self, "hbar", exact_number(self.hbar, "hbar"))
         n = self.n_sites
         if isinstance(n, bool) or not (isinstance(n, numbers.Integral)
                                        or isinstance(n, float) and n.is_integer()):
@@ -164,10 +173,9 @@ def _sector_monomial(sites, digits, twos: int) -> MultiIndex:
     return MultiIndex(exps)
 
 
-def check_dimension(spec: ChainSpec, max_dim: int):
-    """Raise DimensionTooLarge when the sector dimension exceeds `max_dim`."""
-    if spec.dimension() > max_dim:
-        raise DimensionTooLarge(f"dimension {spec.dimension()} exceeds cap {max_dim}")
+def check_dimension(spec: ChainSpec):
+    """`check_cap` on the sector dimension (2s+1)**n_sites, without forming it."""
+    check_cap(int(2 * spec.spin) + 1, spec.n_sites)
 
 
 def sector_basis(spec: ChainSpec) -> SectorBasis:
@@ -252,10 +260,10 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
     A term touching k sites acts as a (2s+1)**k local matrix times the
     identity on the other sites.  `apply_term` runs once on each local
     monomial of those sites, and the local action is scattered over all
-    columns through the mixed-radix digits of the basis index.  Triplets are
-    ordered by column, then by term, as a loop over states and terms would
-    emit them, and `SectorMatrix.from_triplets` sums duplicates in that
-    order.  A term touching a site outside the chain annihilates every
+    columns through the mixed-radix digits of the basis index.  Each term
+    emits at most one entry per column, so `SectorMatrix.from_triplets` sums
+    the contributions to each entry in term order, as a loop over states and
+    terms would.  A term touching a site outside the chain annihilates every
     sector state.
 
     Raises SectorViolation if a term changes any site's boson number, and
@@ -297,10 +305,8 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
         cols.append(columns[keep])
         rows.append(cols[-1] + shift[hit])
         vals.append(amp[hit])
-    cols_all = np.concatenate(cols)
-    order = np.argsort(cols_all, kind="stable")
-    M = SectorMatrix.from_triplets(dim, np.concatenate(rows)[order], cols_all[order],
-                                   np.concatenate(vals)[order])
+    M = SectorMatrix.from_triplets(dim, np.concatenate(rows), np.concatenate(cols),
+                                   np.concatenate(vals))
     if not np.isfinite(M.vals).all():
         raise AmplitudeOverflow("a summed matrix element is beyond the float range")
     return M
@@ -367,16 +373,16 @@ def momentum_reduction(spec: ChainSpec):
     return functools.partial(momentum_blocks, d=int(2 * spec.spin) + 1, n_sites=spec.n_sites)
 
 
-def solve(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> Spectrum:
+def solve(spec: ChainSpec) -> Spectrum:
     """Eigenvalues of the chain: sector basis, exact normal-ordered H, sector
     matrix, eigensolve (no eigenvectors).  A periodic chain is solved in
     lattice-momentum blocks (`momentum_reduction`); the checks of
     `eigensolve` still run on the sector matrix itself.
 
     Raises DimensionTooLarge, before anything is built, when the sector
-    dimension exceeds `max_dim`.
+    dimension exceeds the cap of `check_cap`.
     """
-    check_dimension(spec, max_dim)
+    check_dimension(spec)
     basis = sector_basis(spec)
     M = assemble_matrix(build_hamiltonian(spec), basis)
-    return eigensolve(M, compute_vectors=False, max_dim=max_dim, reduce=momentum_reduction(spec))
+    return eigensolve(M, compute_vectors=False, reduce=momentum_reduction(spec))

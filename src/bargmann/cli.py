@@ -9,7 +9,7 @@ Exit codes:
     2  malformed input (bad spec/state/points file, parse error, bad grid,
        a negative trial count, a tolerance that is not a finite number >= 0,
        an amplitude or a summed matrix element beyond the float range)
-    3  requested dimension exceeds the cap (override: BARGMANN_MAX_DIM)
+    3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
     4  sector violation (operator does not conserve per-site boson number)
 
 Units: k_B = 1, temperatures in energy units; hbar defaults to 1.
@@ -21,10 +21,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .chain import (
     PERIODIC,
     ChainSpec,
     check_dimension,
+    exact_number,
     mode_difference,
     sector_basis,
     site_magnetization,
@@ -60,7 +59,7 @@ from .errors import (
 )
 from .oracle import compare_spectra, oracle_hamiltonian
 from .thermo import (
-    MAX_DENSE_DIM,
+    _f12,
     eigensolve,
     husimi_q,
     spectrum_to_json,
@@ -77,11 +76,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIM_TOO_LARGE = 3
 EXIT_SECTOR_VIOLATION = 4
-
-
-def _max_dim() -> int:
-    env = os.environ.get("BARGMANN_MAX_DIM")
-    return int(env) if env else MAX_DENSE_DIM
 
 
 def _write_out(args, text: str):
@@ -118,7 +112,7 @@ def _load_state(path) -> PolynomialState:
 
 def cmd_basis(args) -> int:
     spec = _load_spec(args)
-    check_dimension(spec, _max_dim())
+    check_dimension(spec)
     basis = sector_basis(spec)
     lines = []
     for i, m in enumerate(basis.states):
@@ -131,10 +125,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    s = solve(_load_spec(args), _max_dim())
+    s = solve(_load_spec(args))
     if args.format == "csv":
         lines = ["index,eigenvalue"]
-        lines += [f"{i},{v:.11e}" for i, v in enumerate(s.eigenvalues)]
+        lines += [f"{i},{_f12(v)}" for i, v in enumerate(s.eigenvalues)]
         _write_out(args, "\n".join(lines) + "\n")
     else:
         _write_out(args, spectrum_to_json(s))
@@ -164,10 +158,10 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_thermo(args) -> int:
-    spec, cap = _load_spec(args), _max_dim()
-    check_dimension(spec, cap)
+    spec = _load_spec(args)
+    check_dimension(spec)
     grid = _parse_grid(args)
-    points = thermo_sweep(solve(spec, cap), grid)
+    points = thermo_sweep(solve(spec), grid)
     if args.format == "json":
         rows = [{"T": p.temperature, "Z": p.Z, "F": p.free_energy, "S": p.entropy,
                  "E_mean": p.mean_energy} for p in points]
@@ -177,9 +171,9 @@ def cmd_thermo(args) -> int:
     return EXIT_OK
 
 
-def _verify_once(spec: ChainSpec, tol: float, cap: int):
-    sb = solve(spec, cap)
-    so = eigensolve(oracle_hamiltonian(spec, max_dim=cap), compute_vectors=False, max_dim=cap)
+def _verify_once(spec: ChainSpec, tol: float):
+    sb = solve(spec)
+    so = eigensolve(oracle_hamiltonian(spec), compute_vectors=False)
     return compare_spectra(sb, so, tol)
 
 
@@ -189,8 +183,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("tol must be a finite number >= 0")
     spec = _load_spec(args)
-    cap = _max_dim()
-    rep = _verify_once(spec, args.tol, cap)
+    rep = _verify_once(spec, args.tol)
     all_pass = rep.passed
     report = {"dimension": rep.dimension, "tol": rep.tol, "max_abs_diff": rep.max_abs_diff,
               "passed": rep.passed, "mode": spec.mode, "worst": rep.worst}
@@ -205,7 +198,7 @@ def cmd_verify(args) -> int:
         for k in range(args.random_trials):
             couplings = tuple(round(rng.uniform(-2.0, 2.0), 6) for _ in range(3))
             tspec = dataclasses.replace(spec, couplings=couplings)
-            trep = _verify_once(tspec, args.tol, cap)
+            trep = _verify_once(tspec, args.tol)
             all_pass = all_pass and trep.passed
             trials.append({"trial": k, "couplings": couplings,
                            "max_abs_diff": trep.max_abs_diff, "passed": trep.passed})
@@ -220,7 +213,7 @@ def _split_terms(A):
 
 
 def cmd_apply(args) -> int:
-    A = parse(args.operator, hbar=Fraction(args.hbar))
+    A = parse(args.operator, hbar=exact_number(args.hbar, "hbar"))
     state = _load_state(args.state)
     result = apply(A, state)
     out = {"amplitudes": [{"monomial": format_monomial(m), "re": a.real, "im": a.imag}

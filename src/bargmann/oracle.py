@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .algebra import MultiIndex, w_var, z_var
 from .chain import ChainSpec
-from .errors import DimensionMismatch, DimensionTooLarge, SectorViolation
-from .thermo import MAX_DENSE_DIM, Spectrum
+from .errors import DimensionMismatch, SectorViolation
+from .thermo import Spectrum, check_cap
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
     return SpinMatrices(s=sf, sx=sx, sy=sy, sz=sz)
 
 
-def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
+def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b).
 
     Each bond's two-site operator sum_k J_k S_k (x) S_k is formed as a
@@ -60,14 +60,12 @@ def oracle_hamiltonian(spec: ChainSpec, max_dim: int = MAX_DENSE_DIM) -> np.ndar
     (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the view
     takes equal L, M and R indices on both sides.  Every bond operator is
     real (S_y (x) S_y is), so H is float64; a nonzero imaginary part in a
-    bond block is an AssertionError.
+    bond block is an AssertionError.  `check_cap` runs before any allocation.
     """
-    dim = spec.dimension()
-    if dim > max_dim:
-        raise DimensionTooLarge(f"dimension {dim} exceeds cap {max_dim}")
+    d, n = int(2 * spec.spin) + 1, spec.n_sites
+    check_cap(d, n)
+    dim = d ** n
     mats = spin_matrices(spec.spin, float(spec.hbar))
-    d = int(2 * spec.spin) + 1
-    n = spec.n_sites
     H = np.zeros((dim, dim))
     item = H.itemsize
     for (i, j) in spec.bonds():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,23 @@ from .errors import DimensionTooLarge, NotHermitian, NotNormalized
 MAX_DENSE_DIM = 8192
 HERMITICITY_TOL = 1e-10
 RESIDUAL_FACTOR = 1e-8
+
+
+def check_cap(d: int, n_sites: int = 1):
+    """Raise DimensionTooLarge if d**n_sites exceeds BARGMANN_MAX_DIM (an integer
+    >= 0, read per call; default MAX_DENSE_DIM), unformed past 2**64 and the cap."""
+    env = os.environ.get("BARGMANN_MAX_DIM")
+    try:
+        cap = int(env) if env else MAX_DENSE_DIM
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"BARGMANN_MAX_DIM must be an integer >= 0, got {env!r}")
+    huge = d > 1 and n_sites * (int(d).bit_length() - 1) >= max(64, cap.bit_length())
+    dim = None if huge else d ** n_sites
+    if huge or dim > cap:
+        shown = f"{d}**{n_sites}" if huge or dim >= 2 ** 64 else dim
+        raise DimensionTooLarge(f"dimension {shown} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +109,7 @@ class SectorMatrix:
         return A
 
 
-def _triplets(H, max_dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _triplets(H) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Dimension and the (rows, cols, values) of H's nonzero entries.
 
     Entries come in row-major order, values as complex128: a `SectorMatrix`
@@ -105,8 +123,7 @@ def _triplets(H, max_dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]
     if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     n = H.shape[0]
-    if n > max_dim:
-        raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
+    check_cap(n)
     if hasattr(H, "tocoo"):
         C = H.tocoo()
         H = SectorMatrix.from_triplets(n, C.row, C.col, C.data)
@@ -146,11 +163,11 @@ def _blocks_by_size(lab: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def _gated(H, max_dim: int):
+def _gated(H):
     """H's nonzero triplets (n, rows, cols, vals) and its scale max|H|, after
     the checks of `eigensolve`.  `vals` are float64 when the imaginary part
     of H is exactly zero, complex128 otherwise."""
-    n, rows, cols, vals = _triplets(H, max_dim)
+    n, rows, cols, vals = _triplets(H)
     if not vals.imag.any():
         vals = np.ascontiguousarray(vals.real)
     keys, mirror = rows * n + cols, cols * n + rows
@@ -163,10 +180,10 @@ def _gated(H, max_dim: int):
 
 
 def _unit(scale: float) -> float:
-    """The largest power of two <= scale (1 for 0).  Dividing by it is exact
-    and brings entries of magnitude <= scale into [0, 2), where their squares
-    cannot overflow."""
-    return math.ldexp(1.0, math.frexp(scale)[1] - 1) if scale else 1.0
+    """The largest power of two <= scale, raised to 2**-1022 for a subnormal
+    scale so its reciprocal is finite; 1 for 0.  Dividing by it is exact and
+    brings entries of magnitude <= scale into [0, 2), where squares cannot overflow."""
+    return math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022)) if scale else 1.0
 
 
 def _sq_sum(x: np.ndarray, subscripts: str) -> np.ndarray:
@@ -225,8 +242,7 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return groups, bound
 
 
-def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
-               reduce=None) -> Spectrum:
+def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     """Hermitian eigensolve, with eigenvectors and verified residuals or with
     eigenvalues alone and a moment certificate.
 
@@ -259,11 +275,11 @@ def eigensolve(H, compute_vectors: bool = True, max_dim: int = MAX_DENSE_DIM,
     Eigenvectors are then not available.
 
     Raises ValueError for a non-square H or an inf or NaN entry,
-    DimensionTooLarge beyond `max_dim` (checked first), NotHermitian when
+    DimensionTooLarge beyond `check_cap` (checked first), NotHermitian when
     max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual or
     the certificate exceeds 1e-8 * max|H| * dim.
     """
-    n, rows, cols, vals, scale = _gated(H, max_dim)
+    n, rows, cols, vals, scale = _gated(H)
     if not compute_vectors:
         unit = _unit(scale)
         v = vals / unit

@@ -271,7 +271,61 @@ class TestSolve:
             raise AssertionError("assemble_matrix called beyond the cap")
 
         monkeypatch.setattr(chainmod, "assemble_matrix", fail)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "8")
         with pytest.raises(DimensionTooLarge, match="dimension 16 exceeds cap 8"):
-            solve(xxx_spec(4), max_dim=8)
+            solve(xxx_spec(4))
+        monkeypatch.delenv("BARGMANN_MAX_DIM")
         with pytest.raises(DimensionTooLarge):
             solve(xxx_spec(14))
+
+
+class TestOneCap:
+    """`solve`, `eigensolve` and `oracle_hamiltonian` obey BARGMANN_MAX_DIM,
+    read on each call, and raise before building anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_builders(self, monkeypatch):
+        import bargmann.chain as chainmod
+        import bargmann.oracle as oraclemod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built beyond the cap")
+
+        for module, name in [(chainmod, "sector_basis"), (chainmod, "build_hamiltonian"),
+                             (chainmod, "assemble_matrix"), (oraclemod, "spin_matrices"),
+                             (ChainSpec, "dimension")]:
+            monkeypatch.setattr(module, name, fail)
+
+    def test_api_reads_the_variable(self, monkeypatch):
+        from bargmann.oracle import oracle_hamiltonian
+        for cap in ("3", "7"):
+            monkeypatch.setenv("BARGMANN_MAX_DIM", cap)
+            message = f"dimension 8 exceeds cap {cap}"
+            with pytest.raises(DimensionTooLarge, match=message):
+                solve(xxx_spec(3))
+            with pytest.raises(DimensionTooLarge, match=message):
+                oracle_hamiltonian(xxx_spec(3))
+            with pytest.raises(DimensionTooLarge, match=message):
+                eigensolve(np.eye(8))
+
+    def test_bounds(self, monkeypatch):
+        from bargmann.thermo import check_cap
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "0")
+        check_cap(0)
+        with pytest.raises(DimensionTooLarge, match="^dimension 1 exceeds cap 0$"):
+            check_cap(1, 10 ** 9)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "1")
+        check_cap(1, 10 ** 9)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", str(2 ** 64))
+        check_cap(2, 64)
+        with pytest.raises(DimensionTooLarge, match=r"^dimension 3\*\*41 exceeds cap"):
+            check_cap(3, 41)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "")
+        check_cap(2, 13)
+        with pytest.raises(DimensionTooLarge,
+                           match="^dimension 18446744073709551615 exceeds cap 8192$"):
+            check_cap(2 ** 64 - 1)
+        with pytest.raises(DimensionTooLarge, match=r"^dimension 2\*\*64 exceeds cap 8192$"):
+            check_cap(2, 64)
+        with pytest.raises(DimensionTooLarge, match=r"^dimension 5\*\*10000000000 exceeds"):
+            check_cap(5, 10 ** 10)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,19 @@ class TestDiag:
         assert cli.main([*command, "--spec", spec]) == 2
         assert capsys.readouterr() == (
             "", "error: a summed matrix element is beyond the float range\n")
+
+    @pytest.mark.parametrize("field,text,shown", [
+        ("spin", "Infinity", "inf"), ("hbar", "1e400", "inf"),
+        ("spin", '"1/0"', "'1/0'"), ("hbar", '"1/0"', "'1/0'")])
+    def test_infinite_or_zero_denominator_exact_number_exit_2(self, tmp_path, capsys,
+                                                               field, text, shown):
+        spec = json.loads(Path(write_spec(tmp_path)).read_text())
+        spec[field] = "@"
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(spec).replace('"@"', text))
+        assert cli.main(["diag", "--spec", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {field} must be a finite number, "
+                                           f"got {shown}\n")
 
     def test_sector_violation_exit_4(self, tmp_path, monkeypatch):
         import bargmann.chain as chainmod
@@ -297,7 +311,7 @@ class TestVerify:
         from bargmann.oracle import oracle_hamiltonian as real_oracle
         spec = write_spec(tmp_path)
         monkeypatch.setattr(climod, "oracle_hamiltonian",
-                            lambda s, max_dim: real_oracle(s, max_dim=max_dim) * 1.5)
+                            lambda s: real_oracle(s) * 1.5)
         assert climod.main(["verify", "--spec", spec]) == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["passed"] is False
@@ -352,6 +366,13 @@ class TestApply:
         assert cli.main(["apply", "--operator", op, "--state", state]) == 2
         assert cli.main(["apply", "--operator", "(2^64)^64 * z[0]", "--state", state]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_hbar_with_zero_denominator_exit_2(self, tmp_path, capsys):
+        state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
+        assert cli.main(["apply", "--operator", "hbar*z[0]", "--state", state,
+                         "--hbar", "1/0"]) == 2
+        assert capsys.readouterr() == ("", "error: hbar must be a finite number, got '1/0'\n")
 
 
 class TestHusimi:
@@ -421,3 +442,44 @@ class TestExitCodes:
     def test_unknown_subcommand_nonzero(self):
         r = run_cli(["frobnicate"])
         assert r.returncode != 0
+
+
+HUGE_CHAINS = [("2", 100000000, "5**100000000"), ("1/2", 20000, "2**20000")]
+CHAIN_COMMANDS = [["basis"], ["diag"], ["thermo", "--temps", "1"], ["verify"]]
+
+
+class TestOneCap:
+    """The dimension cap of every subcommand is one function: it never forms
+    an out-of-range power, and it reads BARGMANN_MAX_DIM on each call."""
+
+    @pytest.mark.parametrize("spin,n_sites,shown", HUGE_CHAINS)
+    @pytest.mark.parametrize("command", CHAIN_COMMANDS)
+    def test_huge_chain_exit_3_without_building(self, tmp_path, capsys, monkeypatch,
+                                                 spin, n_sites, shown, command):
+        import bargmann.chain as chainmod
+        import bargmann.oracle as oraclemod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built beyond the cap")
+
+        for module, name in [(cli, "sector_basis"), (chainmod, "sector_basis"),
+                             (chainmod, "build_hamiltonian"), (chainmod, "assemble_matrix"),
+                             (oraclemod, "spin_matrices"), (chainmod.ChainSpec, "dimension")]:
+            monkeypatch.setattr(module, name, fail)
+        spec = write_spec(tmp_path, spin=spin, n_sites=n_sites)
+        start = time.perf_counter()
+        assert cli.main([*command, "--spec", spec]) == 3
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr() == ("", f"error: dimension {shown} exceeds cap 8192\n")
+
+    def test_huge_chain_subprocess(self, tmp_path):
+        r = run_cli(["diag", "--spec", write_spec(tmp_path, spin="2", n_sites=100000000)])
+        assert (r.returncode, r.stdout) == (3, b"")
+        assert r.stderr == b"error: dimension 5**100000000 exceeds cap 8192\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1e4"])
+    def test_bad_variable_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BARGMANN_MAX_DIM", value)
+        assert cli.main(["diag", "--spec", write_spec(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: BARGMANN_MAX_DIM must be an integer >= 0, got {value!r}\n")

@@ -70,12 +70,13 @@ class TestOracleHamiltonian:
         eigs = np.linalg.eigvalsh(oracle_hamiltonian(spec))
         assert np.allclose(np.sort(eigs), [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         spec = ChainSpec(n_sites=14, spin=Fraction(1, 2), couplings=(1, 1, 1))
         with pytest.raises(DimensionTooLarge):
             oracle_hamiltonian(spec)
+        monkeypatch.setenv("BARGMANN_MAX_DIM", "4")
         oracle_hamiltonian(ChainSpec(n_sites=2, spin=Fraction(1, 2),
-                                     couplings=(1, 1, 1)), max_dim=4)
+                                     couplings=(1, 1, 1)))
 
     @pytest.mark.parametrize("n,s", [(6, Fraction(1, 2)), (4, Fraction(1)),
                                      (4, Fraction(3, 2)), (3, Fraction(2))])

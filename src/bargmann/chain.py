@@ -23,7 +23,9 @@ import numpy as np
 from .algebra import (
     MultiIndex,
     OperatorPolynomial,
+    OperatorTerm,
     RationalComplex,
+    Var,
     apply_term,
     compose,
     w_var,
@@ -190,13 +192,24 @@ def total_magnetization(m: MultiIndex, n_sites: int) -> Fraction:
     return sum((site_magnetization(m, i) for i in range(n_sites)), Fraction(0))
 
 
+def _relabel(m: MultiIndex, site: dict) -> MultiIndex:
+    """`m` with each variable moved to site[its site]."""
+    return MultiIndex._from_dict({Var(site[v.site], v.flavor): e for v, e in m.items()})
+
+
 def _compositional_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
+    """Sum over bonds (i, j) and axes a with J_a != 0 of J_a J_a(i) J_a(j).
+    The exact product J_a(0) J_a(1) is composed once per axis; each bond gets
+    its terms with sites 0 and 1 relabelled to i and j."""
     h = spec.hbar
-    return OperatorPolynomial.sum(
-        compose(j_operator(i, axis, h), j_operator(j, axis, h)).scaled(Fraction(J))
-        for (i, j) in spec.bonds()
-        for J, axis in zip(spec.couplings, ("x", "y", "z"))
-        if J != 0.0)
+    template = [compose(j_operator(0, axis, h), j_operator(1, axis, h)).scaled(Fraction(J))
+                for J, axis in zip(spec.couplings, ("x", "y", "z"))
+                if J != 0.0]
+    return OperatorPolynomial(
+        ((_relabel(mult, to), _relabel(deriv, to)), c)
+        for to in ({0: i, 1: j} for (i, j) in spec.bonds())
+        for bond in template
+        for (mult, deriv), c in bond.items())
 
 
 def _literal_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
@@ -254,17 +267,36 @@ def _check_sector_preserving(H: OperatorPolynomial):
                 f"term does not conserve per-site boson number at sites {sorted(bad)}")
 
 
+def _local_action(t: OperatorTerm, monomials) -> tuple:
+    """(alive, per-site digit change, amplitude) of `t` on each of the local
+    monomials (digits, MultiIndex) of sites 0..k-1."""
+    k = len(monomials[0][0])
+    alive = np.zeros(len(monomials), dtype=bool)
+    delta = np.zeros((len(monomials), k), dtype=np.int64)
+    amp = np.zeros(len(monomials), dtype=np.complex128)
+    for row, (a, m) in enumerate(monomials):
+        r = apply_term(t, m)
+        if r is None:
+            continue
+        m2, value = r
+        alive[row] = True
+        amp[row] = value
+        delta[row] = [m2.get(z_var(site)) - ai for site, ai in enumerate(a)]
+    return alive, delta, amp
+
+
 def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
     """Sector matrix with entry (r, c) = <basis[r]|H|basis[c]>.
 
     A term touching k sites acts as a (2s+1)**k local matrix times the
-    identity on the other sites.  `apply_term` runs once on each local
-    monomial of those sites, and the local action is scattered over all
-    columns through the mixed-radix digits of the basis index.  Each term
-    emits at most one entry per column, so `SectorMatrix.from_triplets` sums
-    the contributions to each entry in term order, as a loop over states and
-    terms would.  A term touching a site outside the chain annihilates every
-    sector state.
+    identity on the other sites.  Its local action is computed once per term
+    shape, the term with its sites relabelled to 0..k-1 in order:
+    `apply_term` runs on each local monomial of those k sites, and the action
+    is scattered over all columns through the mixed-radix digits of the
+    basis index.  Each term emits at most one entry per column, so
+    `SectorMatrix.from_triplets` sums the contributions to each entry in term
+    order, as a loop over states and terms would.  A term touching a site
+    outside the chain annihilates every sector state.
 
     Raises SectorViolation if a term changes any site's boson number, and
     AmplitudeOverflow if a summed entry is beyond the float range.
@@ -278,32 +310,28 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
     rows = [np.zeros(0, dtype=np.int64)]
     cols = [np.zeros(0, dtype=np.int64)]
     vals = [np.zeros(0, dtype=np.complex128)]
-    blocks: dict[tuple, tuple] = {}    # sites -> (local monomials, local state per column)
+    monomials: dict[int, list] = {}    # k -> local monomials (digits, MultiIndex) of sites 0..k-1
+    local: dict[tuple, np.ndarray] = {}    # sites -> local state per column
+    actions: dict[OperatorTerm, tuple] = {}    # term shape -> `_local_action`
     for t in H.terms():
         sites = tuple(sorted({v.site for v in t.mult.variables() + t.deriv.variables()}))
         if any(not 0 <= site < n for site in sites):
             continue
-        if sites not in blocks:
-            local_digits = itertools.product(range(d), repeat=len(sites))
-            blocks[sites] = ([(a, _sector_monomial(sites, a, d - 1)) for a in local_digits],
-                             digits[:, list(sites)] @ (d ** np.arange(len(sites) - 1, -1, -1)))
-        monomials, local = blocks[sites]
-        alive = np.zeros(len(monomials), dtype=bool)
-        shift = np.zeros(len(monomials), dtype=np.int64)
-        amp = np.zeros(len(monomials), dtype=np.complex128)
-        for k, (a, m) in enumerate(monomials):
-            r = apply_term(t, m)
-            if r is None:
-                continue
-            m2, value = r
-            alive[k] = True
-            amp[k] = value
-            shift[k] = sum((m2.get(z_var(site)) - ai) * int(place[site])
-                           for site, ai in zip(sites, a))
-        keep = alive[local]
-        hit = local[keep]
+        k = len(sites)
+        to = dict(zip(sites, range(k)))
+        shape = OperatorTerm(t.coeff, _relabel(t.mult, to), _relabel(t.deriv, to))
+        if shape not in actions:
+            if k not in monomials:
+                monomials[k] = [(a, _sector_monomial(range(k), a, d - 1))
+                                for a in itertools.product(range(d), repeat=k)]
+            actions[shape] = _local_action(shape, monomials[k])
+        if sites not in local:
+            local[sites] = digits[:, list(sites)] @ (d ** np.arange(k - 1, -1, -1))
+        alive, delta, amp = actions[shape]
+        keep = alive[local[sites]]
+        hit = local[sites][keep]
         cols.append(columns[keep])
-        rows.append(cols[-1] + shift[hit])
+        rows.append(cols[-1] + (delta @ place[list(sites)])[hit])
         vals.append(amp[hit])
     M = SectorMatrix.from_triplets(dim, np.concatenate(rows), np.concatenate(cols),
                                    np.concatenate(vals))

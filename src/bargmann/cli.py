@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -27,6 +28,7 @@ import sys
 import numpy as np
 
 from .algebra import (
+    MultiIndex,
     OperatorPolynomial,
     PolynomialState,
     apply,
@@ -43,10 +45,7 @@ from .chain import (
     check_dimension,
     exact_number,
     mode_difference,
-    sector_basis,
-    site_magnetization,
     solve,
-    total_magnetization,
 )
 from .dsl import ParseError, format_monomial, format_operator, parse, parse_monomial
 from .errors import (
@@ -113,13 +112,18 @@ def _load_state(path) -> PolynomialState:
 def cmd_basis(args) -> int:
     spec = _load_spec(args)
     check_dimension(spec)
-    basis = sector_basis(spec)
+    n, s, twos = spec.n_sites, spec.spin, int(2 * spec.spin)
+    # per (site, digit a): the text of z^a w^(2s-a); per a: the label, m = a - s;
+    # per digit sum: total_m.  Spin 0 has the single state "1".
+    factor = [[format_monomial(MultiIndex({z_var(site): a, w_var(site): twos - a}))
+               for a in range(twos + 1)] for site in range(n)] if twos else []
+    label = [f"(j={s}, m={a - s})" for a in range(twos + 1)]
+    total = [f"total_m = {k - n * s}" for k in range(n * twos + 1)]
     lines = []
-    for i, m in enumerate(basis.states):
-        ms = [site_magnetization(m, site) for site in range(spec.n_sites)]
-        per_site = " ".join(f"(j={spec.spin}, m={mi})" for mi in ms)
-        tot = total_magnetization(m, spec.n_sites)
-        lines.append(f"{i}: {format_monomial(m)} | {per_site} | total_m = {tot}")
+    for i, digits in enumerate(itertools.product(range(twos + 1), repeat=n)):
+        monomial = " * ".join(f[a] for f, a in zip(factor, digits)) or "1"
+        lines.append(f"{i}: {monomial} | {' '.join(label[a] for a in digits)} | "
+                     f"{total[sum(digits)]}")
     _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

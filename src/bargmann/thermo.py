@@ -280,6 +280,14 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     the certificate exceeds 1e-8 * max|H| * dim.
     """
     n, rows, cols, vals, scale = _gated(H)
+    # H with max|H| subnormal is solved as H * 2**e, exactly, with max|H| * 2**e
+    # in [1/2, 1): no step rounds on the subnormal grid and the cap below is
+    # not 0.  Eigenvalues and bound are scaled back at the end.
+    e = -math.frexp(scale)[1] if 0 < scale < np.finfo(float).tiny else 0
+    if e:
+        scale = math.ldexp(scale, e)
+        vals = (np.ldexp(vals.real, e) + 1j * np.ldexp(vals.imag, e)
+                if np.iscomplexobj(vals) else np.ldexp(vals, e))
     if not compute_vectors:
         unit = _unit(scale)
         v = vals / unit
@@ -299,7 +307,8 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
         bound = max(bound, _certificate(eigenvalues / unit, *moments, unit))
     cap = RESIDUAL_FACTOR * scale * n
     if bound > cap:
-        raise RuntimeError(f"{what} {bound:.3e} exceeds {cap:.3e}")
+        raise RuntimeError(f"{what} {math.ldexp(bound, -e):.3e} exceeds "
+                           f"{math.ldexp(cap, -e):.3e}")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -310,7 +319,8 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
             pos = rank[start:start + idx.size].reshape(idx.shape)
             evecs[idx[:, :, None], pos[:, None, :]] = V
             start += idx.size
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=evecs, residual_bound=bound)
+    return Spectrum(eigenvalues=np.ldexp(eigenvalues, -e), eigenvectors=evecs,
+                    residual_bound=math.ldexp(bound, -e))
 
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:

@@ -18,6 +18,7 @@ from bargmann.algebra import (
     MultiIndex,
     OperatorPolynomial,
     OperatorTerm,
+    RationalComplex,
     apply_term,
     single_term,
     w_var,
@@ -135,6 +136,36 @@ EDGE_OPERATORS = {
     "above_2s": single_term(Fraction(1, 2), {z_var(0): 3, w_var(1): 1},
                             {z_var(0): 3, w_var(1): 1}),
 }
+
+
+def hop(coeff, i, j):
+    """coeff * z[i] w[j] dw[i] dz[j]: moves one boson at site i from w to z and
+    one at site j from z to w."""
+    return single_term(coeff, {z_var(i): 1, w_var(j): 1}, {w_var(i): 1, z_var(j): 1})
+
+
+# Terms whose local action is shared or must not be: one shape on several
+# site tuples, the same shape with another coefficient, and mirror images
+# (the same variables with the two sites swapped) on the same and on other sites.
+SHAPE_OPERATORS = {
+    "relabelled": OperatorPolynomial.sum([hop(Fraction(2, 3), 0, 1), hop(Fraction(2, 3), 1, 3),
+                                          hop(Fraction(2, 3), 0, 2)]),
+    "recoefficient": OperatorPolynomial.sum([hop(Fraction(2, 3), 0, 1), hop(Fraction(-1, 5), 2, 3),
+                                             hop(RationalComplex(0, 1), 1, 2)]),
+    "mirrored": OperatorPolynomial.sum([hop(1, 1, 0), hop(1, 0, 1), hop(1, 3, 2)]),
+    "squared": OperatorPolynomial.sum([
+        single_term(Fraction(1, 7), {z_var(0): 2, w_var(2): 2}, {w_var(0): 2, z_var(2): 2}),
+        single_term(Fraction(1, 7), {z_var(1): 2, w_var(2): 2}, {w_var(1): 2, z_var(2): 2}),
+        single_term(Fraction(1, 7), {w_var(1): 2, z_var(2): 2}, {z_var(1): 2, w_var(2): 2})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_OPERATORS))
+@pytest.mark.parametrize("twos", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shared_local_actions(name, twos, n):
+    H = SHAPE_OPERATORS[name]
+    assert_same_triplets(H, ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=(1, 1, 1)))
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_OPERATORS))

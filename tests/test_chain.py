@@ -12,12 +12,13 @@ from bargmann.algebra import (
     OperatorPolynomial,
     adjoint,
     commutator,
+    compose,
     matrix_element,
     single_term,
     w_var,
     z_var,
 )
-from bargmann.angular import total_operator
+from bargmann.angular import j_operator, total_operator
 from bargmann.chain import (
     COMPOSITIONAL,
     OPEN,
@@ -170,6 +171,29 @@ class TestBuildHamiltonian:
 
     def test_no_bonds_no_terms(self):
         assert build_hamiltonian(xxx_spec(1)).is_zero()
+
+    @pytest.mark.parametrize("couplings", [(1, 1, 0.5), (0.7, 0, -1.3), (1e-8, -1e-8, 1e8),
+                                           (-2, -0.3, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("hbar", [Fraction(1), Fraction(2, 3)])
+    @pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+    def test_template_bond_matches_per_bond_reference(self, couplings, hbar, boundary):
+        # periodic N=2 has the bond (0, 1) twice, as (0, 1) and (1, 0)
+        for twos, n in itertools.product(range(5), range(1 if boundary == OPEN else 2, 7)):
+            spec = ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=couplings,
+                             boundary=boundary, hbar=hbar)
+            H, want = build_hamiltonian(spec), per_bond_hamiltonian(spec)
+            assert H == want
+            assert list(H.items()) == list(want.items())
+
+
+def per_bond_hamiltonian(spec):
+    """The compositional H composed bond by bond, as before the template bond."""
+    h = spec.hbar
+    return OperatorPolynomial.sum(
+        compose(j_operator(i, axis, h), j_operator(j, axis, h)).scaled(Fraction(J))
+        for (i, j) in spec.bonds()
+        for J, axis in zip(spec.couplings, ("x", "y", "z"))
+        if J != 0.0)
 
 
 class TestAssembleMatrix:

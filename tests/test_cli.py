@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bargmann import cli
 from bargmann.algebra import single_term, z_var
+from bargmann.chain import ChainSpec, sector_basis, site_magnetization, total_magnetization
+from bargmann.dsl import format_monomial
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -40,7 +43,25 @@ def run_cli(args, scipy_blocked=False):
     return subprocess.run([sys.executable, *head, *args], env=env, capture_output=True)
 
 
+def reference_basis_listing(spec):
+    """The `basis` text built state by state, as before the digit tables."""
+    lines = []
+    for i, m in enumerate(sector_basis(spec).states):
+        per_site = " ".join(f"(j={spec.spin}, m={site_magnetization(m, site)})"
+                            for site in range(spec.n_sites))
+        lines.append(f"{i}: {format_monomial(m)} | {per_site} | "
+                     f"total_m = {total_magnetization(m, spec.n_sites)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestBasis:
+    @pytest.mark.parametrize("twos", range(5))
+    def test_digit_tables_match_per_state_reference(self, tmp_path, capsys, twos):
+        for n in range(1, 6):
+            spec = write_spec(tmp_path, n_sites=n, spin=str(Fraction(twos, 2)))
+            assert cli.main(["basis", "--spec", spec]) == 0
+            assert capsys.readouterr() == (reference_basis_listing(ChainSpec.from_file(spec)), "")
+
     def test_spin_one_single_site(self, tmp_path, capsys):
         spec = write_spec(tmp_path, n_sites=1, spin="1")
         assert cli.main(["basis", "--spec", spec]) == 0
@@ -68,7 +89,7 @@ class TestBasis:
         def fail(spec):
             raise AssertionError("basis built before the dimension check")
 
-        monkeypatch.setattr(cli, "sector_basis", fail)
+        monkeypatch.setattr(cli, "format_monomial", fail)
         spec = write_spec(tmp_path, n_sites=40)
         assert cli.main(["basis", "--spec", spec]) == 3
         assert capsys.readouterr() == ("", "error: dimension 1099511627776 exceeds cap 8192\n")
@@ -462,7 +483,7 @@ class TestOneCap:
         def fail(*args, **kwargs):
             raise AssertionError("built beyond the cap")
 
-        for module, name in [(cli, "sector_basis"), (chainmod, "sector_basis"),
+        for module, name in [(cli, "format_monomial"), (chainmod, "sector_basis"),
                              (chainmod, "build_hamiltonian"), (chainmod, "assemble_matrix"),
                              (oraclemod, "spin_matrices"), (chainmod.ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)

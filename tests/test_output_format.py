@@ -1,4 +1,5 @@
-"""Exact output bytes of the CLI on a spin-1/2 two-site chain.
+"""Exact output bytes of the CLI on a spin-1/2 two-site chain, and of
+`basis` on two-site chains of spin 0, 1 and 3/2.
 
 The chain couples only S^z S^z, so its sector matrix and the oracle's are
 diagonal and every eigenvalue, residual and Boltzmann weight below is exact;
@@ -104,3 +105,44 @@ def test_apply_expect(files, capsys):
 def test_husimi(files, capsys):
     argv = ["husimi", "--state", files["state"], "--points", files["points"]]
     assert run(capsys, argv) == (0, "[2.3855347466990279e-02, 7.6866560570647184e-03]\n", "")
+
+
+BASIS = {
+    "0": "0: 1 | (j=0, m=0) (j=0, m=0) | total_m = 0\n",
+    "1": (
+        "0: w[0]^2 * w[1]^2 | (j=1, m=-1) (j=1, m=-1) | total_m = -2\n"
+        "1: w[0]^2 * z[1] * w[1] | (j=1, m=-1) (j=1, m=0) | total_m = -1\n"
+        "2: w[0]^2 * z[1]^2 | (j=1, m=-1) (j=1, m=1) | total_m = 0\n"
+        "3: z[0] * w[0] * w[1]^2 | (j=1, m=0) (j=1, m=-1) | total_m = -1\n"
+        "4: z[0] * w[0] * z[1] * w[1] | (j=1, m=0) (j=1, m=0) | total_m = 0\n"
+        "5: z[0] * w[0] * z[1]^2 | (j=1, m=0) (j=1, m=1) | total_m = 1\n"
+        "6: z[0]^2 * w[1]^2 | (j=1, m=1) (j=1, m=-1) | total_m = 0\n"
+        "7: z[0]^2 * z[1] * w[1] | (j=1, m=1) (j=1, m=0) | total_m = 1\n"
+        "8: z[0]^2 * z[1]^2 | (j=1, m=1) (j=1, m=1) | total_m = 2\n"),
+    "3/2": (
+        "0: w[0]^3 * w[1]^3 | (j=3/2, m=-3/2) (j=3/2, m=-3/2) | total_m = -3\n"
+        "1: w[0]^3 * z[1] * w[1]^2 | (j=3/2, m=-3/2) (j=3/2, m=-1/2) | total_m = -2\n"
+        "2: w[0]^3 * z[1]^2 * w[1] | (j=3/2, m=-3/2) (j=3/2, m=1/2) | total_m = -1\n"
+        "3: w[0]^3 * z[1]^3 | (j=3/2, m=-3/2) (j=3/2, m=3/2) | total_m = 0\n"
+        "4: z[0] * w[0]^2 * w[1]^3 | (j=3/2, m=-1/2) (j=3/2, m=-3/2) | total_m = -2\n"
+        "5: z[0] * w[0]^2 * z[1] * w[1]^2 | (j=3/2, m=-1/2) (j=3/2, m=-1/2) | total_m = -1\n"
+        "6: z[0] * w[0]^2 * z[1]^2 * w[1] | (j=3/2, m=-1/2) (j=3/2, m=1/2) | total_m = 0\n"
+        "7: z[0] * w[0]^2 * z[1]^3 | (j=3/2, m=-1/2) (j=3/2, m=3/2) | total_m = 1\n"
+        "8: z[0]^2 * w[0] * w[1]^3 | (j=3/2, m=1/2) (j=3/2, m=-3/2) | total_m = -1\n"
+        "9: z[0]^2 * w[0] * z[1] * w[1]^2 | (j=3/2, m=1/2) (j=3/2, m=-1/2) | total_m = 0\n"
+        "10: z[0]^2 * w[0] * z[1]^2 * w[1] | (j=3/2, m=1/2) (j=3/2, m=1/2) | total_m = 1\n"
+        "11: z[0]^2 * w[0] * z[1]^3 | (j=3/2, m=1/2) (j=3/2, m=3/2) | total_m = 2\n"
+        "12: z[0]^3 * w[1]^3 | (j=3/2, m=3/2) (j=3/2, m=-3/2) | total_m = 0\n"
+        "13: z[0]^3 * z[1] * w[1]^2 | (j=3/2, m=3/2) (j=3/2, m=-1/2) | total_m = 1\n"
+        "14: z[0]^3 * z[1]^2 * w[1] | (j=3/2, m=3/2) (j=3/2, m=1/2) | total_m = 2\n"
+        "15: z[0]^3 * z[1]^3 | (j=3/2, m=3/2) (j=3/2, m=3/2) | total_m = 3\n"),
+}
+
+
+@pytest.mark.parametrize("spin", sorted(BASIS))
+def test_basis(spin, tmp_path, capsys):
+    # spin 0 lists the empty monomial "1"; spin 1 and 3/2 give ^e exponents,
+    # integer and fractional m, and every total_m from -2s to 2s
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n_sites": 2, "spin": spin, "jx": 1, "jy": 1, "jz": 1}))
+    assert run(capsys, ["basis", "--spec", str(path)]) == (0, BASIS[spin], "")

@@ -76,6 +76,23 @@ class TestEigensolve:
             w = eigensolve(H, compute_vectors=False).eigenvalues
             assert np.array_equal(w, [-abs(x), abs(x)])
 
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_subnormal_scale_keeps_a_nonzero_cap(self, vectors):
+        # 1e-8 * max|H| * n underflows to 0 here, and |x| rounds on the
+        # subnormal grid; H * 2**e has neither problem
+        x = 3e-320 + 1e-320j
+        s = eigensolve(np.array([[0, x], [np.conj(x), 0]]), compute_vectors=vectors)
+        assert s.eigenvalues == pytest.approx([-abs(x), abs(x)], rel=0, abs=1e-323)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_subnormal_one_sided_entry_fails_the_cap(self, vectors):
+        # within the absolute Hermiticity gate but not a Hermitian matrix at
+        # its own scale: both bounds see it, as for 1e-11 in place of 1e-320
+        # (the residual norm used to underflow to 0)
+        for x in (1e-11, 1e-320):
+            with pytest.raises(RuntimeError, match="exceeds"):
+                eigensolve(np.array([[0, x], [0, 0]]), compute_vectors=vectors)
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("BARGMANN_MAX_DIM", "4")
         with pytest.raises(DimensionTooLarge):
@@ -254,6 +271,10 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     scale = np.abs(A).max() if n else 0.0
+    e = -math.frexp(scale)[1] if 0 < scale < np.finfo(float).tiny else 0
+    if e:    # a subnormal max|A|: solved as A * 2**e, then scaled back
+        scale = math.ldexp(scale, e)
+        A = np.ldexp(A.real, e) + 1j * np.ldexp(A.imag, e) if np.iscomplexobj(A) else np.ldexp(A, e)
     unit = _unit(scale)
     lab = _reference_components(A)
     order = np.argsort(lab, kind="stable")
@@ -284,7 +305,7 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
                                         _sq_sum(v, "i,i"), unit))
     cap = RESIDUAL_FACTOR * scale * n
     if bound > cap:
-        raise RuntimeError(f"{what} {bound:.3e} exceeds {cap:.3e}")
+        raise RuntimeError(f"{what} {math.ldexp(bound, -e):.3e} exceeds {math.ldexp(cap, -e):.3e}")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -295,7 +316,8 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
             pos = rank[start:start + idx.size].reshape(idx.shape)
             evecs[idx[:, :, None], pos[:, None, :]] = V
             start += idx.size
-    return Spectrum(eigenvalues=flat[order], eigenvectors=evecs, residual_bound=bound)
+    return Spectrum(eigenvalues=np.ldexp(flat[order], -e), eigenvectors=evecs,
+                    residual_bound=math.ldexp(bound, -e))
 
 
 def _outcome(solver, H, vectors, max_dim):

@@ -10,9 +10,9 @@ cross terms).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,72 +340,158 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
     return M
 
 
-def momentum_blocks(M: SectorMatrix, d: int, n_sites: int) -> SectorMatrix:
-    """The sector matrix M of a periodic chain in lattice-momentum states.
+def _invariance_deviation(M: SectorMatrix, g: np.ndarray) -> float:
+    """max over all (r, c) of |M(g r, g c) - M(r, c)| for the index permutation
+    g, from one search of M's permuted row-major keys among its own."""
+    if not M.nnz:
+        return 0.0
+    keys = M.rows * M.n + M.cols
+    moved = g[M.rows] * M.n + g[M.cols]
+    at = np.minimum(np.searchsorted(keys, moved), M.nnz - 1)
+    hit = keys[at] == moved
+    dev = np.abs(M.vals - np.where(hit, M.vals[at], 0)).max()
+    if not hit.all():     # entries (g r, g c) of M whose (r, c) is not stored
+        missed = np.ones(M.nnz, dtype=bool)
+        missed[at[hit]] = False
+        dev = max(dev, np.abs(M.vals[missed]).max())
+    return float(dev)
 
-    T moves the content of site i to site i+1 (i+1 taken mod n_sites), which
-    rotates the base-d digits of the basis index.  The representative a of an
-    orbit is its smallest index, P_a its period, and every r in the orbit is
-    r = T^l_r a.  For k = 2 pi m / n_sites with m P_a = 0 mod n_sites, the
-    normalized state |a(k)> is proportional to sum_l e^{ikl} T^l |a>, and
 
-        K[a(k), b(k)] = sum over r of M[r, b] e^{-ik l_r} sqrt(P_b / P_a),
+def symmetry_blocks(M: SectorMatrix, generators, parity=None) -> tuple[SectorMatrix, np.ndarray]:
+    """M in symmetry-adapted states of commuting index permutations, one
+    block per kept character, and the multiplicity of each kept index.
+
+    `generators` are (g, o) pairs: g an index map g[r] that leaves M invariant,
+    o its order.  They generate the abelian group of elements
+    e = g_1^l_1 ... g_k^l_k, whose characters are
+    chi_m(e) = exp(2 pi i sum_j m_j l_j / o_j), exact at quarter turns.  The
+    representative a of an orbit is its smallest index, S_a its stabilizer,
+    and r = e_r^-1 a for one element e_r per index r.  For each character that
+    is 1 on S_a the normalized state |a(m)> ~ sum_e chi_m(e) e|a> gives
+
+        K[a(m), b(m)] = sum over r of M[r, b] chi_m(e_r) sqrt(|S_a| / |S_b|),
 
     summed over the entries of the representative columns b, r running over
-    the orbit of a.  The result is indexed by m, then a, ascending: one block
-    per momentum, its size the number of orbits compatible with m, and the
-    sizes summing to the dimension.  K is summed first and then averaged with
-    its mirror, K <- (K + K^dag)/2, so it is Hermitian by construction.
+    the orbit of a.  K is indexed by character (l order: the first generator's
+    exponent slowest), then by representative, ascending; each block has the
+    size (1/|G|) sum_e chi_m(e) fix(e).  K is summed first and then averaged
+    with its mirror, K <- (K + K^dag)/2, so it is Hermitian by construction.
 
-    Raises RuntimeError unless max|M(Tr, Tc) - M(r, c)| <= 1e-12 max|M|.
+    Of two blocks with the same spectrum one is kept, its multiplicity
+    doubled, under each of two rules:
+    - for a real M, the block of chi_m and of its conjugate, which are
+      complex conjugates of each other (k and -k for a translation);
+    - with `parity` (0 or 1 per index), when M conserves it on its nonzero
+      pattern, one generator of order 2 flips it at every index and the
+      others keep it: U = (-1)^parity then commutes with M and maps that
+      generator's odd block onto its even block, which is kept.
+    The multiplicities sum to M.n.
     """
     n = M.n
-    orbit = np.empty((n_sites, n), dtype=np.int64)   # orbit[l] = T^l of each index
-    orbit[0] = np.arange(n)
-    for l in range(1, n_sites):
-        orbit[l] = orbit[l - 1] // d + orbit[l - 1] % d * d ** (n_sites - 1)
-    T = orbit[1]
-    drift = SectorMatrix.from_triplets(n, np.concatenate([M.rows, T[M.rows]]),
-                                       np.concatenate([M.cols, T[M.cols]]),
-                                       np.concatenate([M.vals, -M.vals]))
-    dev, scale = (np.abs(x).max(initial=0.0) for x in (drift.vals, M.vals))
-    if dev > INVARIANCE_TOL * scale:
-        raise RuntimeError(f"sector matrix is not translation invariant: "
-                           f"max |M(Tr, Tc) - M(r, c)| = {dev:.3e} on max |M| = {scale:.3e}")
-    rep = orbit.min(axis=0)
-    shift = -orbit.argmin(axis=0) % n_sites          # r = T^shift[r] rep[r]
-    period = n_sites // (orbit == orbit[0]).sum(axis=0)
-    reps = np.flatnonzero(rep == orbit[0])
-    momenta, which = np.nonzero(np.arange(n_sites)[:, None] * period[reps] % n_sites == 0)
-    pos = np.full((n_sites, n), -1, dtype=np.int64)  # K index of (m, representative)
-    pos[momenta, reps[which]] = np.arange(len(momenta))
+    orders = [o for _, o in generators]
+    images = np.arange(n)[None]          # images[e, r] = e(r), element e in l order
+    for g, o in generators:
+        powers = [images]
+        for _ in range(1, o):
+            powers.append(g[powers[-1]])
+        images = np.stack(powers, axis=1).reshape(-1, n)
+    size = len(images)
+    exps = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    exps = exps.reshape(size, len(orders))
+    turns = math.lcm(*orders)
+    t = (exps * (turns // np.array(orders, dtype=np.int64))) @ exps.T % turns
+    root = np.exp(2j * np.pi * np.arange(turns) / turns)     # chi_m(e) = root[t[m, e]]
+    quarter = np.arange(turns) * 4 % turns == 0
+    root[quarter] = np.array([1, 1j, -1, -1j])[np.arange(turns)[quarter] * 4 // turns]
+    rep = images.min(axis=0)
+    to_rep = images.argmin(axis=0)        # e_r, with e_r(r) = rep[r]
+    stab = (images == np.arange(n)).sum(axis=0)
+    reps = np.flatnonzero(rep == np.arange(n))
+    # chi_m has a state on the orbit of a iff it is 1 on S_a: its sum over S_a is |S_a|, else 0
+    compat = np.abs(root[t] @ (images[:, reps] == reps) - stab[reps]) < 0.5
+
+    mult = np.ones(size, dtype=np.int64)
+    if not M.vals.imag.any():
+        stride = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+        conj = (-exps % np.array(orders, dtype=np.int64)) @ np.array(stride, dtype=np.int64)
+        mult = np.where(conj < np.arange(size), 0, np.where(conj > np.arange(size), 2, 1))
+    if parity is not None and np.array_equal(parity[M.rows], parity[M.cols]):
+        flips = [(parity[g] != parity).all() for g, _ in generators]
+        keeps = [(parity[g] == parity).all() for g, _ in generators]
+        j = flips.index(True) if sum(flips) == 1 else None
+        if j is not None and orders[j] == 2 and all(f or k for f, k in zip(flips, keeps)):
+            mult = np.where(exps[:, j] == 0, 2 * mult, 0)
+
+    chars = np.flatnonzero(mult)
+    which, kept = np.nonzero(compat[chars])
+    pos = np.full((len(chars), n), -1, dtype=np.int64)   # K index of (kept character, rep)
+    pos[which, reps[kept]] = np.arange(len(kept))
     hit = rep[M.cols] == M.cols
     b, r = M.cols[hit], M.rows[hit]
     a = rep[r]
-    v = M.vals[hit] * np.sqrt(period[b] / period[a])
-    m = np.arange(n_sites)[:, None]
-    phase = np.exp(-2j * np.pi * np.arange(n_sites) / n_sites)[m * shift[r] % n_sites]
-    krow, kcol = pos[m, a], pos[m, b]
+    v = M.vals[hit] * np.sqrt(stab[a] / stab[b])
+    krow, kcol = pos[:, a], pos[:, b]
     keep = (krow >= 0) & (kcol >= 0)
-    K = SectorMatrix.from_triplets(n, krow[keep], kcol[keep], (v * phase)[keep])
-    return SectorMatrix.from_triplets(n, np.concatenate([K.rows, K.cols]),
-                                      np.concatenate([K.cols, K.rows]),
-                                      np.concatenate([K.vals, K.vals.conj()]) / 2)
+    phase = root[t[chars][:, to_rep[r]]]
+    K = SectorMatrix.from_triplets(len(kept), krow[keep], kcol[keep], (v * phase)[keep])
+    K = SectorMatrix.from_triplets(K.n, np.concatenate([K.rows, K.cols]),
+                                   np.concatenate([K.cols, K.rows]),
+                                   np.concatenate([K.vals, K.vals.conj()]) / 2)
+    return K, mult[chars][which]
 
 
-def momentum_reduction(spec: ChainSpec):
-    """The `reduce` argument of `eigensolve` for the chain's sector matrix:
-    `momentum_blocks` for a periodic chain, None for an open one."""
-    if spec.boundary != PERIODIC:
-        return None
-    return functools.partial(momentum_blocks, d=int(2 * spec.spin) + 1, n_sites=spec.n_sites)
+def symmetry_reduction(spec: ChainSpec):
+    """The `reduce` argument of `eigensolve` for the chain's sector matrix M:
+    `symmetry_blocks` of the index permutations that leave M invariant.
+
+    - Translation T (periodic chains) rotates the base-d digits of the index,
+      moving the content of site i to site i+1; M must be invariant under it.
+    - Reflection R (open chains) reverses the digits, and the flip P
+      (z <-> w at every site) maps r to dim - 1 - r.  Each is used only
+      when M is invariant under it, which the compositional H always is.
+    - With P, and when 2s * n_sites is odd, the parity of the digit sum is
+      passed on for Kramers pairing.
+    Invariance means max|M(gr, gc) - M(r, c)| <= 1e-12 max|M|.
+
+    Raises RuntimeError when a periodic chain's M is not translation invariant.
+    """
+    d, n_sites = int(2 * spec.spin) + 1, spec.n_sites
+
+    def reduce(M: SectorMatrix):
+        r = np.arange(M.n)
+        digits = r[:, None] // d ** np.arange(n_sites - 1, -1, -1) % d
+        scale = np.abs(M.vals).max(initial=0.0)
+        tol = INVARIANCE_TOL * scale
+        generators = []
+        if spec.boundary == PERIODIC:
+            T = r // d + r % d * d ** (n_sites - 1)
+            dev = _invariance_deviation(M, T)
+            if dev > tol:
+                raise RuntimeError(f"sector matrix is not translation invariant: "
+                                   f"max |M(Tr, Tc) - M(r, c)| = {dev:.3e} on max |M| = "
+                                   f"{scale:.3e}")
+            generators.append((T, n_sites))
+        else:
+            R = digits @ d ** np.arange(n_sites)
+            if _invariance_deviation(M, R) <= tol:
+                generators.append((R, 2))
+        P = r[::-1]
+        parity = None
+        if _invariance_deviation(M, P) <= tol:
+            generators.append((P, 2))
+            if (d - 1) * n_sites % 2:
+                parity = digits.sum(axis=1) % 2
+        return symmetry_blocks(M, generators, parity)
+
+    return reduce
 
 
 def solve(spec: ChainSpec) -> Spectrum:
     """Eigenvalues of the chain: sector basis, exact normal-ordered H, sector
-    matrix, eigensolve (no eigenvectors).  A periodic chain is solved in
-    lattice-momentum blocks (`momentum_reduction`); the checks of
-    `eigensolve` still run on the sector matrix itself.
+    matrix, eigensolve (no eigenvectors).  The chain is solved in the blocks
+    of its symmetries (`symmetry_reduction`), each block of a set with equal
+    spectra once; the checks of `eigensolve` still run on the sector matrix
+    itself.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.
@@ -413,4 +499,4 @@ def solve(spec: ChainSpec) -> Spectrum:
     check_dimension(spec)
     basis = sector_basis(spec)
     M = assemble_matrix(build_hamiltonian(spec), basis)
-    return eigensolve(M, compute_vectors=False, reduce=momentum_reduction(spec))
+    return eigensolve(M, compute_vectors=False, reduce=symmetry_reduction(spec))

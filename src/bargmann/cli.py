@@ -76,6 +76,8 @@ EXIT_BAD_INPUT = 2
 EXIT_DIM_TOO_LARGE = 3
 EXIT_SECTOR_VIOLATION = 4
 
+_parser = None    # built by the first `main` call and reused: parsing keeps no state in it
+
 
 def _write_out(args, text: str):
     if args.out:
@@ -328,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

@@ -155,12 +155,15 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         lab = new
 
 
-def _blocks_by_size(lab: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the components labelled by `lab`, grouped by size: one
-    (k, s) array per size s, one ascending row per component."""
+def _blocks(lab: np.ndarray, cplx: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """Index sets of the components labelled by `lab`, grouped by size and by
+    `cplx` (indexed by label): one ((k, s) array, complex) pair per group, one
+    ascending row per component, groups by size and real before complex."""
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
-    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+    key = 2 * sizes + cplx[order[starts]]
+    return [(order[starts[key == k][:, None] + np.arange(k // 2)], bool(k % 2))
+            for k in np.unique(key)]
 
 
 def _gated(H):
@@ -174,9 +177,11 @@ def _gated(H):
     at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
     partner = np.where(keys[at] == mirror, vals[at], 0)
     dev = np.abs(vals - partner.conj()).max(initial=0.0)
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
-    return n, rows, cols, vals, np.abs(vals).max(initial=0.0)
+    scale = np.abs(vals).max(initial=0.0)
+    if dev > HERMITICITY_TOL * max(1.0, scale):
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
+                           f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
+    return n, rows, cols, vals, scale
 
 
 def _unit(scale: float) -> float:
@@ -209,26 +214,31 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 compute_vectors: bool):
     """Solve the Hermitian matrix with these row-major nonzero triplets block
     by block: the connected components of its nonzero pattern, those of each
-    size scattered into one (k, s, s) stack and solved in the dtype of `vals`.
-    Returns the (index sets, eigenvalues, eigenvectors) of each size group and
-    a bound.  With vectors, each stack goes through one batched `eigh` and the
+    size scattered into one (k, s, s) stack, real or complex apart, and each
+    stack solved in real arithmetic when its own entries are real.
+    Returns the (index sets, eigenvalues, eigenvectors) of each group and a
+    bound.  With vectors, each stack goes through one batched `eigh` and the
     bound is the largest residual ||B v - lambda v||; without, through
     `eigvalsh`, the eigenvectors are None and the bound is the largest
     `_certificate` of a block."""
-    blocks = _blocks_by_size(_components(rows, cols, n))
-    size, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
-    for idx in blocks:
-        size[idx] = idx.shape[1]
+    lab = _components(rows, cols, n)
+    cplx = np.zeros(n, dtype=bool)
+    if np.iscomplexobj(vals):
+        cplx[lab[rows[vals.imag != 0]]] = True
+    blocks = _blocks(lab, cplx)
+    group, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
+    for g, (idx, _) in enumerate(blocks):
+        group[idx] = g
         block[idx] = np.arange(len(idx))[:, None]
         within[idx] = np.arange(idx.shape[1])
     unit = None if compute_vectors else _unit(np.abs(vals).max(initial=0.0))
     groups = []
     bound = 0.0
-    for idx in blocks:
-        hit = size[rows] == idx.shape[1]
+    for g, (idx, is_complex) in enumerate(blocks):
+        hit = group[rows] == g
         r, c = rows[hit], cols[hit]
-        B = np.zeros(idx.shape + idx.shape[1:], dtype=vals.dtype)
-        B[block[r], within[r], within[c]] = vals[hit]
+        B = np.zeros(idx.shape + idx.shape[1:], dtype=vals.dtype if is_complex else float)
+        B[block[r], within[r], within[c]] = vals[hit] if is_complex else vals[hit].real
         if compute_vectors:
             w, V = np.linalg.eigh(B)
             residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
@@ -251,11 +261,11 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     Hermiticity deviation pairs each (r, c) with its mirror (c, r), a missing
     mirror counting as 0.  H is split into the connected components of its
     nonzero pattern (symmetry sectors show up here without being named); the
-    components of each size are scattered into one (k, s, s) stack and
-    solved at once, in real arithmetic when the imaginary part of H is
-    exactly zero.  No n x n array is formed unless eigenvectors are asked
-    for.  Eigenvalues are merged with a stable sort; eigenvectors are
-    returned in the original basis order.
+    components of each size are scattered into one (k, s, s) stack, real and
+    complex ones apart, and solved at once, in real arithmetic when the
+    stack's entries have an imaginary part of exactly zero.  No n x n array
+    is formed unless eigenvectors are asked for.  Eigenvalues are merged
+    with a stable sort; eigenvectors are returned in the original basis order.
 
     With `compute_vectors`, each stack goes through a batched `eigh`, and
     `residual_bound` is the largest ||H v - lambda v|| over all eigenpairs,
@@ -267,17 +277,22 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     are invariant under unitary similarity, and one eigenvalue moved by d
     gives c1 = d.
 
-    `reduce(M)`, if given, maps the checked H (as a `SectorMatrix`) to a
-    Hermitian `SectorMatrix` of the same dimension that is unitarily
-    equivalent to it and finer in blocks; that matrix is solved in place of
-    H, while the gates, the certificate on H and the cap below still read H,
-    so a reduction that changes tr H or ||H||_F fails the certificate.
-    Eigenvectors are then not available.
+    `reduce(M)`, if given, maps the checked H (as a `SectorMatrix`) to a pair
+    (K, mult): a Hermitian `SectorMatrix` K and an integer multiplicity for
+    each of its indices, equal within each block of K and summing to the
+    dimension of H.  H must be unitarily equivalent to the
+    direct sum of K's blocks, each repeated by its multiplicity.  K is solved
+    in place of H and each block's eigenvalues are repeated by its
+    multiplicity, while the gates, the certificate on H against all of its
+    eigenvalues and the cap below still read H, so a reduction that changes
+    tr H or ||H||_F fails the certificate.  Eigenvectors are then not
+    available.
 
     Raises ValueError for a non-square H or an inf or NaN entry,
     DimensionTooLarge beyond `check_cap` (checked first), NotHermitian when
-    max|H - H^dag| > 1e-10 entry-wise, and RuntimeError when the residual or
-    the certificate exceeds 1e-8 * max|H| * dim.
+    max|H - H^dag| > 1e-10 * max(1, max|H|) entry-wise, and RuntimeError when
+    the multiplicities break the contract above, or the residual or the
+    certificate exceeds 1e-8 * max|H| * dim.
     """
     n, rows, cols, vals, scale = _gated(H)
     # H with max|H| subnormal is solved as H * 2**e, exactly, with max|H| * 2**e
@@ -295,10 +310,17 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     if reduce is not None:
         if compute_vectors:
             raise ValueError("eigenvectors are not available for a reduced matrix")
-        K = reduce(SectorMatrix(n, rows, cols, vals.astype(np.complex128, copy=False)))
-        rows, cols, vals = K.rows, K.cols, K.vals
-    groups, bound = _block_eigh(n, rows, cols, vals, compute_vectors)
-    flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
+        K, mult = reduce(SectorMatrix(n, rows, cols, vals.astype(np.complex128, copy=False)))
+        groups, bound = _block_eigh(K.n, K.rows, K.cols, K.vals, compute_vectors)
+        repeats = [mult[idx] for idx, _, _ in groups]
+        flat = np.repeat(np.concatenate([w.ravel() for _, w, _ in groups]),
+                         np.concatenate([m.ravel() for m in repeats]))
+        if len(flat) != n or any((m != m[:, :1]).any() for m in repeats):
+            raise RuntimeError("the block multiplicities of the reduction do not sum to "
+                               f"{n} or vary within a block")
+    else:
+        groups, bound = _block_eigh(n, rows, cols, vals, compute_vectors)
+        flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
     order = np.argsort(flat, kind="stable")
     eigenvalues = flat[order]
     what = "eigendecomposition residual"

@@ -34,9 +34,9 @@ from bargmann.chain import (
     _check_sector_preserving,
     assemble_matrix,
     build_hamiltonian,
-    momentum_reduction,
     sector_basis,
     solve,
+    symmetry_reduction,
 )
 from bargmann.errors import AmplitudeOverflow
 from bargmann.thermo import eigensolve
@@ -87,8 +87,8 @@ def test_chain_ladder(spin, n, boundary, mode):
     M = assert_same_triplets(build_hamiltonian(spec), spec)
     assert M.nnz > 0
     ref = reference_assemble(build_hamiltonian(spec), sector_basis(spec))
-    # open chains: today's unblocked path; periodic: the momentum blocks of the same CSR
-    want = eigensolve(ref, compute_vectors=False, reduce=momentum_reduction(spec))
+    # the symmetry blocks of the reference triplets
+    want = eigensolve(ref, compute_vectors=False, reduce=symmetry_reduction(spec))
     got = solve(spec)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.residual_bound == want.residual_bound

@@ -414,6 +414,51 @@ class TestHusimi:
         assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
 
 
+class TestParserReuse:
+    RUNS = [["diag", "--format", "csv"], ["diag"], ["thermo", "--temps", "0.5,2"],
+            ["thermo", "--tmin", "0.5", "--tmax", "4", "--tpoints", "3"]]
+
+    def test_reused_parser_gives_fresh_parser_bytes(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, n_sites=3, jx=0.8, jy=-0.3, jz=0.5, boundary="periodic")
+        argvs = [[*argv, "--spec", spec] for argv in self.RUNS * 2]
+        reused = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            reused.append(capsys.readouterr())
+        parser = cli._parser
+        assert parser is not None
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            assert cli.main(argv) == 0
+            fresh.append(capsys.readouterr())
+        assert reused == fresh
+        assert len({r.out for r in reused}) == len(self.RUNS)
+
+    def test_reused_parser_calls_patched_solve(self, tmp_path, capsys, monkeypatch):
+        from bargmann.thermo import Spectrum
+
+        spec = write_spec(tmp_path)
+        assert cli.main(["diag", "--spec", spec]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def fake(s):
+            calls.append(s)
+            return Spectrum(eigenvalues=[1.0, 2.0])
+
+        monkeypatch.setattr(cli, "solve", fake)
+        assert cli.main(["diag", "--spec", spec, "--format", "csv"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == "index,eigenvalue\n0,1.00000000000e+00\n1,2.00000000000e+00\n"
+
+    def test_no_parser_at_import(self):
+        code = "import bargmann.cli as c; print(c._parser is None)"
+        r = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                           capture_output=True)
+        assert (r.returncode, r.stdout) == (0, b"True\n")
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
         spec = write_spec(tmp_path, jx=0.83, jy=-1.2, jz=0.4, n_sites=3)

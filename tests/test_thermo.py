@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -16,9 +17,9 @@ from bargmann.chain import (
     ChainSpec,
     assemble_matrix,
     build_hamiltonian,
-    momentum_reduction,
     sector_basis,
     solve,
+    symmetry_reduction,
 )
 from bargmann.dsl import parse
 from bargmann.errors import DimensionTooLarge, NotHermitian, NotNormalized
@@ -218,6 +219,21 @@ class TestBlockedGates:
         with pytest.raises(NotHermitian):
             eigensolve(H)
 
+    def test_hermiticity_gate_scales_with_max_entry(self):
+        # one ulp of 1e8 is 1.5e-8, above an absolute 1e-10 but float noise on
+        # the scale of H; the gate is 1e-10 * max(1, max|H|)
+        big = 1e8
+        H = np.array([[0.0, big], [np.nextafter(big, np.inf), 0.0]])
+        for vectors in (False, True):
+            w = eigensolve(H, compute_vectors=vectors).eigenvalues
+            assert np.allclose(w, [-big, big], rtol=1e-15, atol=0)
+        H[1, 0] = big * (1 + 1e-9)
+        with pytest.raises(NotHermitian, match="1e-10 \\* max\\(1, max \\|H\\| = 1.000e\\+08\\)"):
+            eigensolve(H)
+        # unchanged for max|H| <= 1
+        with pytest.raises(NotHermitian):
+            eigensolve(np.array([[0.0, 0.5], [0.5 + 2e-10, 0.0]]))
+
     def _shifted_eigh(self, monkeypatch, eps):
         real_eigh = np.linalg.eigh
 
@@ -268,9 +284,10 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     if not A.imag.any():
         A = np.ascontiguousarray(A.real)
     dev = np.abs(A - A.conj().T).max() if n else 0.0
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     scale = np.abs(A).max() if n else 0.0
+    if dev > HERMITICITY_TOL * max(1.0, scale):
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
+                           f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
     e = -math.frexp(scale)[1] if 0 < scale < np.finfo(float).tiny else 0
     if e:    # a subnormal max|A|: solved as A * 2**e, then scaled back
         scale = math.ldexp(scale, e)
@@ -281,9 +298,18 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
     groups = []
     bound = 0.0
-    for s in np.unique(sizes):
-        idx = order[starts[sizes == s][:, None] + np.arange(s)]
+    # blocks of each size in one stack, real ones (no imaginary part) before
+    # complex ones, each stack solved in its own dtype
+    real = np.array([not A[np.ix_(i, i)].imag.any()
+                     for i in np.split(order, starts[1:])], dtype=bool)
+    for s, cplx in itertools.product(np.unique(sizes), (False, True)):
+        pick = (sizes == s) & (real != cplx)
+        if not pick.any():
+            continue
+        idx = order[starts[pick][:, None] + np.arange(s)]
         B = A[idx[:, :, None], idx[:, None, :]]
+        if not cplx:
+            B = B.real.copy()
         if compute_vectors:
             w, V = np.linalg.eigh(B)
             residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
@@ -543,15 +569,51 @@ class TestVectorFree:
         # M sees the wrong spectrum; with jz = 0, tr M = 0 and c2 sees it
         spec = ChainSpec(n_sites=6, spin=HALF, couplings=couplings, boundary="periodic")
         M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
-        reduce = momentum_reduction(spec)
+        reduce = symmetry_reduction(spec)
 
         def scaled(M):
-            K = reduce(M)
-            return SectorMatrix(K.n, K.rows, K.cols, 1.01 * K.vals)
+            K, mult = reduce(M)
+            return SectorMatrix(K.n, K.rows, K.cols, 1.01 * K.vals), mult
 
         assert eigensolve(M, compute_vectors=False, reduce=reduce).residual_bound <= 1e-13
         with pytest.raises(RuntimeError, match="moment certificate"):
             eigensolve(M, compute_vectors=False, reduce=scaled)
+
+    def test_real_blocks_solved_in_real_arithmetic(self, monkeypatch):
+        dtypes = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            dtypes.append(a.dtype)
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        # k = 0 and pi of a periodic chain are real, the paired k are not
+        solve(ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic"))
+        assert set(dtypes) == {np.dtype(float), np.dtype(complex)}
+        dtypes.clear()
+        solve(ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3)))
+        assert set(dtypes) == {np.dtype(float)}
+
+    @pytest.mark.parametrize("change", ["one more", "one less", "within a block"])
+    def test_wrong_multiplicities_raise(self, change):
+        spec = ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic")
+        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+        reduce = symmetry_reduction(spec)
+
+        def wrong(M):
+            K, mult = reduce(M)
+            lab = _components(K.rows, K.cols, K.n)
+            first = int(np.flatnonzero((mult == 2) & (np.bincount(lab, minlength=K.n)[lab] > 1))[0])
+            mult = mult.copy()
+            if change == "within a block":
+                mult[first] += 1
+            else:
+                mult[lab == lab[first]] += 1 if change == "one more" else -1
+            return K, mult
+
+        with pytest.raises(RuntimeError, match="multiplicities"):
+            eigensolve(M, compute_vectors=False, reduce=wrong)
 
     @pytest.mark.parametrize("factor", [1e-300, 1e300])
     def test_certificate_at_extreme_scales(self, factor):

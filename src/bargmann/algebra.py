@@ -115,7 +115,8 @@ class MultiIndex:
     """Map from variables to positive exponents; zeros are never stored.
 
     Canonical and hashable: two multi-indexes are equal iff they store the
-    same (variable, exponent) pairs.
+    same (variable, exponent) pairs.  Those pairs, sorted by variable, are the
+    sort key of polynomial and state keys.
     """
 
     __slots__ = ("_items", "_map")
@@ -155,9 +156,6 @@ class MultiIndex:
     def variables(self):
         return tuple(v for v, _ in self._items)
 
-    def sort_key(self):
-        return tuple((v.site, int(v.flavor), e) for v, e in self._items)
-
     def __bool__(self):
         return bool(self._items)
 
@@ -189,17 +187,12 @@ class OperatorTerm:
     deriv: MultiIndex
 
 
-def _term_sort_key(key):
-    mult, deriv = key
-    return (mult.sort_key(), deriv.sort_key())
-
-
 class OperatorPolynomial:
     """Finite sum of normal-ordered terms in canonical form.
 
     Stored as a map (mult, deriv) -> coefficient with no zero coefficients
-    and keys kept sorted, so equality is map equality and printing is
-    deterministic.
+    and keys kept sorted by the pairs of mult, then of deriv, so equality is
+    map equality and printing is deterministic.
     """
 
     __slots__ = ("_terms", "_term_cache")
@@ -209,11 +202,10 @@ class OperatorPolynomial:
         acc: dict = {}
         for key, c in items:
             c = RationalComplex.from_value(c)
-            if not c:
-                continue
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-        cleaned = {k: v for k, v in sorted(acc.items(), key=lambda kv: _term_sort_key(kv[0])) if v}
+        order = sorted(acc.items(), key=lambda kv: (kv[0][0]._items, kv[0][1]._items))
+        cleaned = {k: v for k, v in order if v}
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_term_cache", None)
 
@@ -308,7 +300,7 @@ class PolynomialState:
             a = complex(a)
             if a != 0:
                 acc[m] = acc.get(m, 0j) + a
-        cleaned = {m: a for m, a in sorted(acc.items(), key=lambda kv: kv[0].sort_key()) if a != 0}
+        cleaned = {m: a for m, a in sorted(acc.items(), key=lambda kv: kv[0]._items) if a != 0}
         object.__setattr__(self, "_amps", cleaned)
 
     @classmethod

@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -136,8 +135,7 @@ class SectorBasis:
     States are ordered lexicographically in the per-site magnetization
     m_i = (alpha_i - beta_i)/2 running -s..+s, site 0 slowest, so the state
     with z-exponents (a_0, ..., a_{N-1}) has index sum_i a_i (2s+1)**(N-1-i).
-    `len` is that closed form; `states` and the index behind `index_of` are
-    built on first use.
+    `len` is that closed form; no state is formed.
     """
 
     spin: Fraction
@@ -146,28 +144,11 @@ class SectorBasis:
     def __len__(self):
         return int(2 * self.spin + 1) ** self.n_sites
 
-    @cached_property
-    def states(self) -> tuple[MultiIndex, ...]:
-        twos = int(2 * self.spin)
-        sites = range(self.n_sites)
-        return tuple(_sector_monomial(sites, digits, twos)
-                     for digits in itertools.product(range(twos + 1), repeat=self.n_sites))
 
-    @cached_property
-    def _index(self) -> dict:
-        return {m: i for i, m in enumerate(self.states)}
-
-    def index_of(self, m: MultiIndex) -> int:
-        try:
-            return self._index[m]
-        except KeyError:
-            raise SectorViolation(f"{m!r} is not a sector basis state") from None
-
-
-def _sector_monomial(sites, digits, twos: int) -> MultiIndex:
-    """z_i**a_i w_i**(2s-a_i) over the given sites, a_i taken from `digits`."""
+def _sector_monomial(digits, twos: int) -> MultiIndex:
+    """z_i**a_i w_i**(2s-a_i) over sites i = 0, 1, ..., a_i taken from `digits`."""
     exps = {}
-    for site, a in zip(sites, digits):
+    for site, a in enumerate(digits):
         if a:
             exps[z_var(site)] = a
         if twos - a:
@@ -184,14 +165,6 @@ def sector_basis(spec: ChainSpec) -> SectorBasis:
     return SectorBasis(spec.spin, spec.n_sites)
 
 
-def site_magnetization(m: MultiIndex, site: int) -> Fraction:
-    return Fraction(m.get(z_var(site)) - m.get(w_var(site)), 2)
-
-
-def total_magnetization(m: MultiIndex, n_sites: int) -> Fraction:
-    return sum((site_magnetization(m, i) for i in range(n_sites)), Fraction(0))
-
-
 def _relabel(m: MultiIndex, site: dict) -> MultiIndex:
     """`m` with each variable moved to site[its site]."""
     return MultiIndex._from_dict({Var(site[v.site], v.flavor): e for v, e in m.items()})
@@ -199,16 +172,16 @@ def _relabel(m: MultiIndex, site: dict) -> MultiIndex:
 
 def _compositional_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
     """Sum over bonds (i, j) and axes a with J_a != 0 of J_a J_a(i) J_a(j).
-    The exact product J_a(0) J_a(1) is composed once per axis; each bond gets
-    its terms with sites 0 and 1 relabelled to i and j."""
+    The bond sum_a J_a J_a(0) J_a(1) is composed and summed once; each bond
+    gets its terms with sites 0 and 1 relabelled to i and j."""
     h = spec.hbar
-    template = [compose(j_operator(0, axis, h), j_operator(1, axis, h)).scaled(Fraction(J))
-                for J, axis in zip(spec.couplings, ("x", "y", "z"))
-                if J != 0.0]
+    bond = OperatorPolynomial.sum(
+        compose(j_operator(0, axis, h), j_operator(1, axis, h)).scaled(Fraction(J))
+        for J, axis in zip(spec.couplings, ("x", "y", "z"))
+        if J != 0.0)
     return OperatorPolynomial(
         ((_relabel(mult, to), _relabel(deriv, to)), c)
         for to in ({0: i, 1: j} for (i, j) in spec.bonds())
-        for bond in template
         for (mult, deriv), c in bond.items())
 
 
@@ -322,7 +295,7 @@ def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
         shape = OperatorTerm(t.coeff, _relabel(t.mult, to), _relabel(t.deriv, to))
         if shape not in actions:
             if k not in monomials:
-                monomials[k] = [(a, _sector_monomial(range(k), a, d - 1))
+                monomials[k] = [(a, _sector_monomial(a, d - 1))
                                 for a in itertools.product(range(d), repeat=k)]
             actions[shape] = _local_action(shape, monomials[k])
         if sites not in local:

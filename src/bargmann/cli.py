@@ -6,9 +6,10 @@ deterministic: identical inputs and seed produce byte-identical bytes.
 Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
-    2  malformed input (bad spec/state/points file, parse error, bad grid,
-       a negative trial count, a tolerance that is not a finite number >= 0,
-       an amplitude or a summed matrix element beyond the float range)
+    2  malformed input (bad spec/state/points file, a state monomial listed
+       twice, a point coordinate not [re, im] of finite numbers, parse error,
+       bad grid, a negative trial count, a tolerance that is not a finite
+       number >= 0, an amplitude or a summed matrix element beyond the float range)
     3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
     4  sector violation (operator does not conserve per-site boson number)
 
@@ -107,6 +108,9 @@ def _load_state(path) -> PolynomialState:
         except ParseError as e:
             raise ValueError(f"state file {path}: bad monomial "
                              f"{entry['monomial']!r}: {e}") from None
+        if m in amps:
+            raise ValueError(f"state file {path}: monomial {format_monomial(m)} is listed "
+                             f"twice (again as {entry['monomial']!r})")
         amps[m] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
     return PolynomialState(amps)
 
@@ -195,8 +199,8 @@ def cmd_verify(args) -> int:
               "passed": rep.passed, "mode": spec.mode, "worst": rep.worst}
 
     if spec.mode == PAPER_LITERAL:
-        report["term_difference"] = [format_operator(OP)
-                                     for OP in _split_terms(mode_difference(spec))]
+        report["term_difference"] = [format_operator(OperatorPolynomial({k: c}))
+                                     for k, c in mode_difference(spec).items()]
 
     if args.random_trials:
         rng = random.Random(args.seed)
@@ -212,10 +216,6 @@ def cmd_verify(args) -> int:
 
     _write_out(args, to_json(report) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
-
-
-def _split_terms(A):
-    return [OperatorPolynomial({k: c}) for k, c in A.items()]
 
 
 def cmd_apply(args) -> int:
@@ -243,6 +243,14 @@ def _parse_var(name: str):
     raise ValueError(f"bad variable name {name!r}; expected z[i] or w[i]")
 
 
+def _coordinate(c) -> complex:
+    """One phase-space coordinate [re, im]: two finite JSON numbers (no booleans)."""
+    if not (type(c) is list and len(c) == 2
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in c)):
+        raise ValueError(f"a point coordinate must be [re, im], two finite numbers; got {c!r}")
+    return complex(*map(float, c))
+
+
 def cmd_husimi(args) -> int:
     state = _load_state(args.state)
     with open(args.points, "r", encoding="utf-8") as fh:
@@ -250,7 +258,7 @@ def cmd_husimi(args) -> int:
     variables = None
     if "variables" in obj:
         variables = [_parse_var(v) for v in obj["variables"]]
-    points = [[complex(float(c[0]), float(c[1])) for c in pt] for pt in obj["points"]]
+    points = [[_coordinate(c) for c in pt] for pt in obj["points"]]
     qs = husimi_q(state, points, variables)
     _write_out(args, to_json(qs) + "\n")
     return EXIT_OK

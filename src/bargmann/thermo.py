@@ -113,20 +113,17 @@ def _triplets(H) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Dimension and the (rows, cols, values) of H's nonzero entries.
 
     Entries come in row-major order, values as complex128: a `SectorMatrix`
-    passes through, a dense H gives what `np.nonzero` finds (a -0.0 is a zero
-    like any other), and anything with `tocoo` becomes a `SectorMatrix` first.
-    The shape and the dimension cap are checked before anything of size n^2
-    is touched; any entry that is inf or NaN is rejected.
+    passes through, and any other H is read as a dense array, giving what
+    `np.nonzero` finds (a -0.0 is a zero like any other).  The shape and the
+    dimension cap are checked before anything of size n^2 is touched; any
+    entry that is inf or NaN is rejected.
     """
-    if not (isinstance(H, SectorMatrix) or hasattr(H, "tocoo")):
+    if not isinstance(H, SectorMatrix):
         H = np.asarray(H)
     if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     n = H.shape[0]
     check_cap(n)
-    if hasattr(H, "tocoo"):
-        C = H.tocoo()
-        H = SectorMatrix.from_triplets(n, C.row, C.col, C.data)
     if isinstance(H, SectorMatrix):
         rows, cols, vals = H.rows, H.cols, H.vals
     else:
@@ -256,8 +253,8 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     """Hermitian eigensolve, with eigenvectors and verified residuals or with
     eigenvalues alone and a moment certificate.
 
-    H (dense, `SectorMatrix`, or anything with `tocoo`) is read once as its
-    nonzero (row, col, value) triplets, and the checks run on those: the
+    H (a `SectorMatrix` or a dense array) is read once as its nonzero
+    (row, col, value) triplets, and the checks run on those: the
     Hermiticity deviation pairs each (r, c) with its mirror (c, r), a missing
     mirror counting as 0.  H is split into the connected components of its
     nonzero pattern (symmetry sectors show up here without being named); the

@@ -49,6 +49,7 @@ from bargmann.oscillator import (
 from bargmann.thermo import Spectrum, eigensolve, husimi_q, partition_function, thermo_sweep
 
 from conftest import operator_polys
+from reference import states
 
 Z0, W0 = z_var(0), w_var(0)
 
@@ -175,7 +176,7 @@ def test_criterion_06_entrywise_agreement():
         basis = sector_basis(spec)
         M = assemble_matrix(build_hamiltonian(spec), basis).toarray()
         Ho = oracle_hamiltonian(spec)
-        perm = [basis_isomorphism(m, s, 2) for m in basis.states]
+        perm = [basis_isomorphism(m, s, 2) for m in states(basis)]
         P = np.zeros_like(Ho)
         for i, p in enumerate(perm):
             P[p, i] = 1.0

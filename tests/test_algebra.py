@@ -30,6 +30,7 @@ from bargmann.angular import j_operator
 from bargmann.errors import AmplitudeOverflow
 
 from conftest import act_unnormalized, multiindices, operator_polys, operator_terms, states
+from reference import sort_key
 
 Z0, W0 = z_var(0), w_var(0)
 
@@ -55,6 +56,25 @@ class TestMultiIndex:
         assert a == b and hash(a) == hash(b)
         # sorted (site, flavor): z before w on each site
         assert MultiIndex({W0: 1, Z0: 1}).variables() == (Z0, W0)
+
+
+class TestCanonicalOrder:
+    """Keys are sorted by the pairs a MultiIndex stores, in the order of the
+    (site, flavor, exponent) reference key."""
+
+    @given(st.lists(operator_terms(), max_size=8), st.lists(operator_terms(), max_size=3))
+    @settings(max_examples=150)
+    def test_polynomial_keys(self, a, b):
+        for P in (OperatorPolynomial.from_terms(a + b),
+                  compose(OperatorPolynomial.from_terms(a), OperatorPolynomial.from_terms(b))):
+            keys = [key for key, _ in P.items()]
+            assert keys == sorted(keys, key=lambda k: (sort_key(k[0]), sort_key(k[1])))
+
+    @given(states(max_monomials=8))
+    @settings(max_examples=150)
+    def test_state_keys(self, s):
+        ms = [m for m, _ in s.items()]
+        assert ms == sorted(ms, key=sort_key)
 
 
 class TestRationalComplex:

@@ -11,8 +11,10 @@ import pytest
 
 from bargmann import cli
 from bargmann.algebra import single_term, z_var
-from bargmann.chain import ChainSpec, sector_basis, site_magnetization, total_magnetization
+from bargmann.chain import ChainSpec, sector_basis
 from bargmann.dsl import format_monomial
+
+from reference import site_magnetization, states, total_magnetization
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -46,7 +48,7 @@ def run_cli(args, scipy_blocked=False):
 def reference_basis_listing(spec):
     """The `basis` text built state by state, as before the digit tables."""
     lines = []
-    for i, m in enumerate(sector_basis(spec).states):
+    for i, m in enumerate(states(sector_basis(spec))):
         per_site = " ".join(f"(j={spec.spin}, m={site_magnetization(m, site)})"
                             for site in range(spec.n_sites))
         lines.append(f"{i}: {format_monomial(m)} | {per_site} | "
@@ -396,6 +398,21 @@ class TestApply:
         assert capsys.readouterr() == ("", "error: hbar must be a finite number, got '1/0'\n")
 
 
+class TestStateFile:
+    @pytest.mark.parametrize("command", [["apply", "--operator", "z[0]*dz[0]"],
+                                         ["husimi", "--points", "points.json"]])
+    def test_monomial_listed_twice_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # both entries parse to z[0] w[0]; keeping the later one would drop 0.6
+        monkeypatch.chdir(tmp_path)
+        Path("points.json").write_text(json.dumps({"points": [[[0.0, 0.0]]]}))
+        state = write_state(tmp_path, [{"monomial": "z[0] * w[0]", "re": 0.6, "im": 0.0},
+                                       {"monomial": "w[0] * z[0]", "re": 0.8, "im": 0.0}])
+        assert cli.main([*command, "--state", state]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: state file {state}: monomial z[0] * w[0] is listed twice "
+                "(again as 'w[0] * z[0]')\n")
+
+
 class TestHusimi:
     def test_vacuum(self, tmp_path, capsys):
         state = write_state(tmp_path, [{"monomial": "1", "re": 1.0, "im": 0.0}])
@@ -412,6 +429,30 @@ class TestHusimi:
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"points": [[[0.0, 0.0]]]}))
         assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
+
+    @pytest.mark.parametrize("coordinate", [
+        [1], [1, 2, 3], [], [math.inf, 0], [0, -math.inf], [math.nan, 0], [10 ** 400, 0],
+        [True, 0], [0, False], ["1", 0], [None, 0], [[1], 0], 1.0, {"re": 1, "im": 0}])
+    def test_malformed_coordinate_exit_2(self, tmp_path, capsys, coordinate):
+        state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"variables": ["z[0]"],
+                                      "points": [[[0.5, 0.0]], [coordinate]]}))
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a point coordinate must be [re, im], two finite numbers; "
+                f"got {json.loads(json.dumps(coordinate))!r}\n")
+
+    def test_integer_coordinates_read_as_floats(self, tmp_path, capsys):
+        state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
+        out = []
+        for pt in ([[1, -2]], [[1.0, -2.0]]):
+            points = tmp_path / "points.json"
+            points.write_text(json.dumps({"points": [pt]}))
+            assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 0
+            out.append(capsys.readouterr())
+        assert out[0] == out[1]
+        assert json.loads(out[0].out) == [pytest.approx(5 * math.exp(-5) / math.pi, rel=1e-12)]
 
 
 class TestParserReuse:

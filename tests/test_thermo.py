@@ -43,6 +43,8 @@ from bargmann.thermo import (
     to_json,
 )
 
+from reference import as_sector_matrix
+
 Z0 = z_var(0)
 
 
@@ -358,9 +360,10 @@ def _outcome(solver, H, vectors, max_dim):
 
 def assert_same_as_reference(H, max_dim=MAX_DENSE_DIM):
     """Eigenvalues, residual bound and eigenvectors bit for bit, or the same
-    exception with the same message."""
+    exception with the same message.  A scipy H reaches `eigensolve` as
+    `as_sector_matrix(H)` and the reference as itself."""
     for vectors in (False, True):
-        got = _outcome(eigensolve, H, vectors, max_dim)
+        got = _outcome(eigensolve, as_sector_matrix(H), vectors, max_dim)
         want = _outcome(reference_eigensolve, H, vectors, max_dim)
         if isinstance(want, tuple) or isinstance(got, tuple):
             assert got == want
@@ -424,7 +427,15 @@ class TestTripletFrontEnd:
         A = H.toarray()
         assert np.array_equal(A, [[0, 2, 0.75], [2, 0, 0], [0.75, 0, 3]])
         assert_same_as_reference(H)
-        assert np.array_equal(eigensolve(H).eigenvalues, eigensolve(A).eigenvalues)
+        assert np.array_equal(eigensolve(as_sector_matrix(H)).eigenvalues,
+                              eigensolve(A).eigenvalues)
+
+    def test_sparse_matrix_is_not_read(self):
+        # only a `SectorMatrix` or an array is read; np.asarray makes a scipy
+        # matrix a 0-d object array
+        for H in (sp.csr_matrix(np.eye(2)), sp.coo_matrix(np.eye(2))):
+            with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(\)"):
+                eigensolve(H)
 
     def test_one_sided_entries(self):
         for value in (1e-12, 0.5):
@@ -436,8 +447,7 @@ class TestTripletFrontEnd:
         assert_same_as_reference(H)
 
     def test_shape_and_cap_messages(self):
-        for H in (np.zeros((2, 3)), sp.csr_matrix((2, 3)), np.zeros(3), np.eye(5),
-                  sp.csr_matrix(np.eye(5))):
+        for H in (np.zeros((2, 3)), np.zeros(3), np.eye(5), sp.csr_matrix(np.eye(5))):
             assert_same_as_reference(H, max_dim=4)
 
     def test_residual_cap_message(self, monkeypatch):
@@ -458,14 +468,14 @@ class TestTripletFrontEnd:
         forms = [*_forms(H).values(), SectorMatrix.from_triplets(2, [0, 1], [0, 1], [bad, 1])]
         for form in forms:
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                eigensolve(form)
+                eigensolve(as_sector_matrix(form))
 
     def test_duplicates_summing_beyond_float_range(self):
         big = 1.7e308
         for data in ([big, big], [math.inf, -math.inf]):
             H = sp.coo_matrix((data, ([0, 0], [0, 0])), shape=(2, 2))
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                eigensolve(H)
+                eigensolve(as_sector_matrix(H))
 
     def test_negative_zero_is_zero(self):
         # the reference gathered a -0.0 into the block, where LAPACK's

@@ -34,6 +34,7 @@ from .chain import (
     SectorBasis,
     assemble_matrix,
     build_hamiltonian,
+    chain_matrix,
     mode_difference,
     sector_basis,
     solve,

@@ -5,11 +5,13 @@ giving a (2s+1)**n_sites dimensional space isomorphic to the spin chain.
 Hamiltonians are built either compositionally from per-site generators (the
 reference construction) or from a verbatim hand-expanded form kept for
 diagnostic comparison ("paper_literal" mode, whose z-coupling line merges two
-cross terms).
+cross terms).  `solve` does not build the whole-chain polynomial: it places the
+sector matrices of one bond, cached per (2s, hbar, mode), on every bond.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -424,6 +426,7 @@ def symmetry_reduction(spec: ChainSpec):
       when M is invariant under it, which the compositional H always is.
     - With P, and when 2s * n_sites is odd, the parity of the digit sum is
       passed on for Kramers pairing.
+    - A generator that is the identity map is dropped.
     Invariance means max|M(gr, gc) - M(r, c)| <= 1e-12 max|M|.
 
     Raises RuntimeError when a periodic chain's M is not translation invariant.
@@ -454,22 +457,87 @@ def symmetry_reduction(spec: ChainSpec):
             generators.append((P, 2))
             if (d - 1) * n_sites % 2:
                 parity = digits.sum(axis=1) % 2
+        # an identity map (T, R and P at dimension 1, R at one site) splits nothing,
+        # and would only multiply the group's size
+        generators = [(g, o) for g, o in generators if (g != r).any()]
         return symmetry_blocks(M, generators, parity)
 
     return reduce
 
 
+@functools.lru_cache(maxsize=16)
+def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ...]:
+    """The sector matrices T_x, T_y, T_z of one bond with unit couplings: T_a
+    is `assemble_matrix(build_hamiltonian(...))` of the open two-site chain
+    with coupling 1 on axis a, indexed by a_0 d + a_1 (d = 2s+1).  A bond's H
+    is linear in the couplings, so sum_a J_a T_a is the bond (0, 1) of any
+    chain with these spin, hbar and mode.  Cached per process; the arrays are
+    read-only."""
+    tables = []
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        bond = ChainSpec(2, Fraction(twos, 2), unit, OPEN, hbar, mode)
+        T = assemble_matrix(build_hamiltonian(bond), sector_basis(bond))
+        for a in (T.rows, T.cols, T.vals):
+            a.flags.writeable = False
+        tables.append(T)
+    return tuple(tables)
+
+
+def chain_matrix(spec: ChainSpec, basis: SectorBasis) -> SectorMatrix:
+    """The chain's sector matrix: `assemble_matrix(build_hamiltonian(spec),
+    basis)` up to rounding, without building the whole-chain polynomial.
+
+    The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`) is
+    placed on every bond (i, j): its entry (a_i d + a_j, b_i d + b_j) goes to
+    every (row, col) pair of states with digits a_i, a_j and b_i, b_j at
+    sites i and j and equal digits elsewhere.  The contributions to an entry
+    are summed in `spec.bonds()` order.
+
+    Raises AmplitudeOverflow if an entry is beyond the float range.
+    """
+    d, n, dim = int(2 * spec.spin) + 1, spec.n_sites, len(basis)
+    bonds = spec.bonds()
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.complex128))]
+    if bonds:
+        tables = _bond_tables(d - 1, spec.hbar, spec.mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts += [(T.rows, T.cols, J * T.vals)
+                      for J, T in zip(spec.couplings, tables) if J != 0.0]
+    h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
+    rows, cols, vals = parts[0]
+    if h.nnz:
+        i, j = np.array(bonds).T
+        place = d ** np.arange(n - 1, -1, -1)      # index weight of each site's digit
+        digits = np.arange(dim)[:, None] // place % d
+        # per bond, the states with digit 0 at both of its sites, ascending
+        base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
+        shape = (len(bonds), h.nnz, dim // (d * d))      # (bond, entry of h, base state)
+        base = base.reshape(shape[0], 1, shape[2])
+
+        def shift(local):      # (bond, entry) -> index offset of the local digits
+            return local // d * place[i][:, None] + local % d * place[j][:, None]
+
+        rows = (base + shift(h.rows)[:, :, None]).ravel()
+        cols = (base + shift(h.cols)[:, :, None]).ravel()
+        vals = np.broadcast_to(h.vals[:, None], shape).ravel()
+    M = SectorMatrix.from_triplets(dim, rows, cols, vals)
+    if not np.isfinite(M.vals).all():
+        raise AmplitudeOverflow("a summed matrix element is beyond the float range")
+    return M
+
+
 def solve(spec: ChainSpec) -> Spectrum:
-    """Eigenvalues of the chain: sector basis, exact normal-ordered H, sector
-    matrix, eigensolve (no eigenvectors).  The chain is solved in the blocks
-    of its symmetries (`symmetry_reduction`), each block of a set with equal
-    spectra once; the checks of `eigensolve` still run on the sector matrix
-    itself.
+    """Eigenvalues of the chain: sector basis, sector matrix from the cached
+    bond tables (`chain_matrix`), eigensolve (no eigenvectors).  The chain is
+    solved in the blocks of its symmetries (`symmetry_reduction`), each block
+    of a set with equal spectra once; the checks of `eigensolve` still run on
+    the sector matrix itself.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.
     """
     check_dimension(spec)
     basis = sector_basis(spec)
-    M = assemble_matrix(build_hamiltonian(spec), basis)
-    return eigensolve(M, compute_vectors=False, reduce=symmetry_reduction(spec))
+    return eigensolve(chain_matrix(spec, basis), compute_vectors=False,
+                      reduce=symmetry_reduction(spec))

@@ -7,9 +7,10 @@ Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
     1  verification failure (spectra disagree)
     2  malformed input (bad spec/state/points file, a state monomial listed
-       twice, a point coordinate not [re, im] of finite numbers, parse error,
-       bad grid, a negative trial count, a tolerance that is not a finite
-       number >= 0, an amplitude or a summed matrix element beyond the float range)
+       twice, a state amplitude or a point coordinate not two finite numbers
+       re, im, parse error, bad grid, a negative trial count, a tolerance that
+       is not a finite number >= 0, an amplitude or a summed matrix element
+       beyond the float range)
     3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
     4  sector violation (operator does not conserve per-site boson number)
 
@@ -98,6 +99,11 @@ def _load_spec(args) -> ChainSpec:
     return dataclasses.replace(spec, **overrides) if overrides else spec
 
 
+def _finite_number(x) -> bool:
+    """Whether x is a JSON number (not a boolean) that is finite as a float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _load_state(path) -> PolynomialState:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -111,7 +117,11 @@ def _load_state(path) -> PolynomialState:
         if m in amps:
             raise ValueError(f"state file {path}: monomial {format_monomial(m)} is listed "
                              f"twice (again as {entry['monomial']!r})")
-        amps[m] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        re, im = entry.get("re", 0.0), entry.get("im", 0.0)
+        if not (_finite_number(re) and _finite_number(im)):
+            raise ValueError(f"state file {path}: the amplitude of {entry['monomial']!r} must "
+                             f"be two finite numbers re, im; got re={re!r}, im={im!r}")
+        amps[m] = complex(float(re), float(im))
     return PolynomialState(amps)
 
 
@@ -245,8 +255,7 @@ def _parse_var(name: str):
 
 def _coordinate(c) -> complex:
     """One phase-space coordinate [re, im]: two finite JSON numbers (no booleans)."""
-    if not (type(c) is list and len(c) == 2
-            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in c)):
+    if not (type(c) is list and len(c) == 2 and all(map(_finite_number, c))):
         raise ValueError(f"a point coordinate must be [re, im], two finite numbers; got {c!r}")
     return complex(*map(float, c))
 

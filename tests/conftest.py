@@ -1,5 +1,6 @@
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
 from bargmann.algebra import (
     Flavor,
@@ -10,9 +11,20 @@ from bargmann.algebra import (
     RationalComplex,
     Var,
 )
+from bargmann.chain import _bond_tables
 
 hypothesis.settings.register_profile("pkg", deadline=None)
 hypothesis.settings.load_profile("pkg")
+
+
+@pytest.fixture
+def cold_bond_tables():
+    """Empty the per-process cache of bond tables before and after the test,
+    so that a patched build or assembly is what fills the tables of `solve`,
+    and no table filled by it outlives the test."""
+    _bond_tables.cache_clear()
+    yield
+    _bond_tables.cache_clear()
 
 
 variables = st.builds(Var, st.integers(0, 3), st.sampled_from(list(Flavor)))

@@ -11,13 +11,19 @@ replaced, kept to check those paths against.
   (variable, exponent) pairs the `MultiIndex` stores.
 - `as_sector_matrix` turns a scipy sparse matrix into the `SectorMatrix`
   that `eigensolve` reads, summing duplicates in storage order.
+- `whole_chain_matrix` is the sector matrix of the whole-chain polynomial,
+  which `solve` assembled before it placed cached bond tables on the bonds,
+  and `entry_deviation` compares two sector matrices entry by entry.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from bargmann.algebra import MultiIndex, w_var, z_var
+from bargmann.chain import assemble_matrix, build_hamiltonian, sector_basis
 from bargmann.errors import SectorViolation
 from bargmann.thermo import SectorMatrix
 
@@ -64,3 +70,16 @@ def as_sector_matrix(A):
         return A
     C = A.tocoo()
     return SectorMatrix.from_triplets(A.shape[0], C.row, C.col, C.data)
+
+
+def whole_chain_matrix(spec):
+    return assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+
+
+def entry_deviation(A, B) -> float:
+    """max over all entries of |A - B|, for two `SectorMatrix` of one size."""
+    assert A.n == B.n
+    D = SectorMatrix.from_triplets(A.n, np.concatenate([A.rows, B.rows]),
+                                   np.concatenate([A.cols, B.cols]),
+                                   np.concatenate([A.vals, -B.vals]))
+    return float(np.abs(D.vals).max(initial=0.0))

@@ -34,6 +34,7 @@ from bargmann.chain import (
     _check_sector_preserving,
     assemble_matrix,
     build_hamiltonian,
+    chain_matrix,
     sector_basis,
     solve,
     symmetry_reduction,
@@ -42,7 +43,7 @@ from bargmann.errors import AmplitudeOverflow
 from bargmann.thermo import eigensolve
 
 from conftest import operator_terms
-from reference import as_sector_matrix, index_of, states
+from reference import as_sector_matrix, entry_deviation, index_of, states
 
 HALF = Fraction(1, 2)
 
@@ -87,14 +88,16 @@ def test_chain_ladder(spin, n, boundary, mode):
                      boundary=boundary, hbar=Fraction(2, 3), mode=mode)
     M = assert_same_triplets(build_hamiltonian(spec), spec)
     assert M.nnz > 0
-    ref = reference_assemble(build_hamiltonian(spec), sector_basis(spec))
-    # the symmetry blocks of the reference triplets
-    want = eigensolve(as_sector_matrix(ref), compute_vectors=False,
-                      reduce=symmetry_reduction(spec))
+    # `solve` is the symmetry blocks of the bond-table matrix, bit for bit
+    chain = chain_matrix(spec, sector_basis(spec))
+    want = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
     got = solve(spec)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.residual_bound == want.residual_bound
-    plain = eigensolve(as_sector_matrix(ref), compute_vectors=False).eigenvalues
+    # which is the reference triplets' matrix up to rounding
+    ref = as_sector_matrix(reference_assemble(build_hamiltonian(spec), sector_basis(spec)))
+    assert entry_deviation(chain, ref) <= 1e-15 * np.abs(ref.vals).max()
+    plain = eigensolve(ref, compute_vectors=False).eigenvalues
     assert np.abs(got.eigenvalues - plain).max() <= 1e-12 * np.abs(plain).max()
 
 

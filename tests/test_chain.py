@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,17 +26,19 @@ from bargmann.chain import (
     PAPER_LITERAL,
     PERIODIC,
     ChainSpec,
+    _bond_tables,
     assemble_matrix,
     build_hamiltonian,
+    chain_matrix,
     mode_difference,
     sector_basis,
     solve,
     symmetry_reduction,
 )
-from bargmann.errors import DimensionTooLarge, SectorViolation
-from bargmann.thermo import eigensolve
+from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, SectorViolation
+from bargmann.thermo import SectorMatrix, eigensolve
 
-from reference import index_of, states, total_magnetization
+from reference import entry_deviation, index_of, states, total_magnetization, whole_chain_matrix
 
 couplings_st = st.tuples(*[st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 4))] * 3)
 
@@ -278,25 +281,28 @@ class TestSolve:
     def test_matches_hand_wired_pipeline(self, spin, n, boundary, mode):
         spec = ChainSpec(n_sites=n, spin=spin, couplings=(1.0, 0.7, 0.3),
                          boundary=boundary, mode=mode)
-        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
-        expected = eigensolve(M, compute_vectors=False, reduce=symmetry_reduction(spec))
+        chain = chain_matrix(spec, sector_basis(spec))
+        expected = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
         got = solve(spec)
         assert np.array_equal(got.eigenvalues, expected.eigenvalues)
         assert got.residual_bound == expected.residual_bound
         assert got.eigenvectors is None
+        M = whole_chain_matrix(spec)
+        assert entry_deviation(chain, M) <= 1e-15 * np.abs(M.vals).max()
         plain = eigensolve(M, compute_vectors=False).eigenvalues
         assert np.abs(got.eigenvalues - plain).max() <= 1e-12 * np.abs(plain).max()
         if boundary == OPEN and mode == PAPER_LITERAL:
             # the literal z line breaks reflection and flip, so nothing is reduced
-            assert np.array_equal(got.eigenvalues, plain)
+            assert np.array_equal(got.eigenvalues,
+                                  eigensolve(chain, compute_vectors=False).eigenvalues)
 
-    def test_cap_checked_before_building(self, monkeypatch):
+    def test_cap_checked_before_building(self, monkeypatch, cold_bond_tables):
         import bargmann.chain as chainmod
 
         def fail(*args):
-            raise AssertionError("assemble_matrix called beyond the cap")
+            raise AssertionError("bond tables filled beyond the cap")
 
-        monkeypatch.setattr(chainmod, "assemble_matrix", fail)
+        monkeypatch.setattr(chainmod, "_bond_tables", fail)
         monkeypatch.setenv("BARGMANN_MAX_DIM", "8")
         with pytest.raises(DimensionTooLarge, match="dimension 16 exceeds cap 8"):
             solve(xxx_spec(4))
@@ -305,12 +311,96 @@ class TestSolve:
             solve(xxx_spec(14))
 
 
+# spin and length up to dimension 729: spin 0 to 1 at N = 1..6, spin 3/2 and 2 at N = 1..4
+CHAIN_SIZES = [(twos, n) for twos in range(5) for n in range(1, 7) if (twos + 1) ** n <= 729]
+COUPLING_ST = st.one_of(st.sampled_from([0.0, 1e-8, -1e-8, 1e8, -1e8, 1.0, -1.0]),
+                        st.floats(-3, 3, allow_nan=False))
+
+
+@st.composite
+def chain_specs(draw):
+    twos, n = draw(st.sampled_from(CHAIN_SIZES))
+    boundary = draw(st.sampled_from([OPEN, PERIODIC] if n > 1 else [OPEN]))
+    return ChainSpec(n_sites=n, spin=Fraction(twos, 2),
+                     couplings=draw(st.tuples(COUPLING_ST, COUPLING_ST, COUPLING_ST)),
+                     boundary=boundary,
+                     hbar=draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(3)])),
+                     mode=draw(st.sampled_from([COMPOSITIONAL, PAPER_LITERAL])))
+
+
+class TestChainMatrix:
+    """The sector matrix of `solve`, from bond tables placed on every bond,
+    against the whole-chain polynomial assembled by `assemble_matrix`."""
+
+    @given(chain_specs())
+    @settings(max_examples=200)
+    def test_matches_whole_chain_build(self, spec):
+        got, want = chain_matrix(spec, sector_basis(spec)), whole_chain_matrix(spec)
+        assert got.n == want.n == spec.dimension()
+        assert entry_deviation(got, want) <= 1e-15 * np.abs(want.vals).max(initial=0.0)
+
+    def test_tables_cached_per_spin_hbar_and_mode(self, cold_bond_tables):
+        # couplings, length and boundary are not in the key
+        for n, couplings, boundary in [(3, (1.0, 0.7, 0.3), OPEN), (5, (0.0, -2.0, 1e8), PERIODIC),
+                                       (2, (1.0, 1.0, 1.0), PERIODIC)]:
+            solve(ChainSpec(n_sites=n, spin=Fraction(1, 2), couplings=couplings, boundary=boundary))
+        assert (_bond_tables.cache_info().misses, _bond_tables.cache_info().hits) == (1, 2)
+        for spin, hbar, mode in [(Fraction(1, 2), Fraction(2, 3), COMPOSITIONAL),
+                                 (Fraction(1, 2), Fraction(1), PAPER_LITERAL),
+                                 (Fraction(1), Fraction(1), COMPOSITIONAL)]:
+            solve(ChainSpec(n_sites=3, spin=spin, couplings=(1, 1, 1), hbar=hbar, mode=mode))
+        assert _bond_tables.cache_info().misses == 4
+        tables = _bond_tables(1, Fraction(1), COMPOSITIONAL)
+        assert len(tables) == 3
+        for T in tables:
+            assert isinstance(T, SectorMatrix) and T.n == 4
+            for a in (T.rows, T.cols, T.vals):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_one_site_fills_no_tables(self, monkeypatch, cold_bond_tables):
+        import bargmann.chain as chainmod
+
+        def fail(*args):
+            raise AssertionError("bond tables filled for a chain without bonds")
+
+        monkeypatch.setattr(chainmod, "_bond_tables", fail)
+        for twos in range(4):
+            spec = ChainSpec(n_sites=1, spin=Fraction(twos, 2), couplings=(1.0, 0.7, 0.3))
+            assert np.array_equal(solve(spec).eigenvalues, np.zeros(twos + 1))
+
+    @pytest.mark.parametrize("hbar", [Fraction(19, 10), Fraction(3)])
+    def test_entry_beyond_float_range(self, hbar):
+        # at 19/10 each S^z S^z amplitude is finite and the sum of three is not;
+        # at 3 one amplitude is beyond the float range
+        spec = ChainSpec(n_sites=3, spin=Fraction(1, 2), couplings=(0, 0, 1.7e308),
+                         boundary=PERIODIC, hbar=hbar)
+        with pytest.raises(AmplitudeOverflow):
+            whole_chain_matrix(spec)
+        with pytest.raises(AmplitudeOverflow, match="summed matrix element"):
+            solve(spec)
+
+    def test_spin_zero_at_any_length(self):
+        # T and P are the identity at dimension 1; kept, they would make a group of
+        # 2N elements with a 2N x 2N character table (hundreds of MB at N=2000)
+        spec = ChainSpec(n_sites=2000, spin=Fraction(0), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        tracemalloc.start()
+        try:
+            got = solve(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.eigenvalues.tolist() == [0.0]
+        assert peak < 16 * 2 ** 20
+
+
 class TestOneCap:
     """`solve`, `eigensolve` and `oracle_hamiltonian` obey BARGMANN_MAX_DIM,
     read on each call, and raise before building anything."""
 
     @pytest.fixture(autouse=True)
-    def no_builders(self, monkeypatch):
+    def no_builders(self, monkeypatch, cold_bond_tables):
         import bargmann.chain as chainmod
         import bargmann.oracle as oraclemod
 
@@ -318,8 +408,8 @@ class TestOneCap:
             raise AssertionError("built beyond the cap")
 
         for module, name in [(chainmod, "sector_basis"), (chainmod, "build_hamiltonian"),
-                             (chainmod, "assemble_matrix"), (oraclemod, "spin_matrices"),
-                             (ChainSpec, "dimension")]:
+                             (chainmod, "assemble_matrix"), (chainmod, "_bond_tables"),
+                             (oraclemod, "spin_matrices"), (ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
 
     def test_api_reads_the_variable(self, monkeypatch):

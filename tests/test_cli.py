@@ -181,7 +181,8 @@ class TestDiag:
         assert capsys.readouterr() == ("", f"error: {field} must be a finite number, "
                                            f"got {shown}\n")
 
-    def test_sector_violation_exit_4(self, tmp_path, monkeypatch):
+    def test_sector_violation_exit_4(self, tmp_path, monkeypatch, cold_bond_tables):
+        # the bond tables are filled from the patched build
         import bargmann.chain as chainmod
         spec = write_spec(tmp_path)
         monkeypatch.setattr(chainmod, "build_hamiltonian",
@@ -413,6 +414,34 @@ class TestStateFile:
                 "(again as 'w[0] * z[0]')\n")
 
 
+    @pytest.mark.parametrize("command", [["apply", "--operator", "z[0]*dz[0]"],
+                                         ["husimi", "--points", "points.json"]])
+    @pytest.mark.parametrize("text,shown", [("true", "True"), ('"1"', "'1'"),
+                                            ("Infinity", "inf"), ("-Infinity", "-inf"),
+                                            ("NaN", "nan"), ("1e400", "inf"), ("null", "None"),
+                                            ("[1, 0]", "[1, 0]"),
+                                            pytest.param("1" + "0" * 400, None, id="10**400")])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_amplitude_not_a_finite_number_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  command, text, shown, field):
+        monkeypatch.chdir(tmp_path)
+        Path("points.json").write_text(json.dumps({"points": [[[0.0, 0.0]]]}))
+        entry = json.dumps({"monomial": "z[0]", "re": 0.6, "im": 0.8, field: "@"})
+        state = tmp_path / "state.json"
+        state.write_text('{"amplitudes": [%s]}' % entry.replace('"@"', text))
+        assert cli.main([*command, "--state", str(state)]) == 2
+        amp = {"re": "0.6", "im": "0.8", field: shown or text}
+        assert capsys.readouterr() == (
+            "", f"error: state file {state}: the amplitude of 'z[0]' must be two finite "
+                f"numbers re, im; got re={amp['re']}, im={amp['im']}\n")
+
+    def test_integer_and_missing_amplitudes_read_as_floats(self, tmp_path, capsys):
+        state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1}, {"monomial": "w[0]"}])
+        assert cli.main(["apply", "--operator", "z[0]*dz[0]", "--state", state]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "amplitudes": [{"monomial": "z[0]", "re": 1.0, "im": 0.0}]}
+
+
 class TestHusimi:
     def test_vacuum(self, tmp_path, capsys):
         state = write_state(tmp_path, [{"monomial": "1", "re": 1.0, "im": 0.0}])
@@ -562,7 +591,8 @@ class TestOneCap:
     @pytest.mark.parametrize("spin,n_sites,shown", HUGE_CHAINS)
     @pytest.mark.parametrize("command", CHAIN_COMMANDS)
     def test_huge_chain_exit_3_without_building(self, tmp_path, capsys, monkeypatch,
-                                                 spin, n_sites, shown, command):
+                                                 cold_bond_tables, spin, n_sites, shown,
+                                                 command):
         import bargmann.chain as chainmod
         import bargmann.oracle as oraclemod
 
@@ -571,7 +601,8 @@ class TestOneCap:
 
         for module, name in [(cli, "format_monomial"), (chainmod, "sector_basis"),
                              (chainmod, "build_hamiltonian"), (chainmod, "assemble_matrix"),
-                             (oraclemod, "spin_matrices"), (chainmod.ChainSpec, "dimension")]:
+                             (chainmod, "_bond_tables"), (oraclemod, "spin_matrices"),
+                             (chainmod.ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
         spec = write_spec(tmp_path, spin=spin, n_sites=n_sites)
         start = time.perf_counter()

@@ -23,6 +23,7 @@ from bargmann.chain import (
     ChainSpec,
     assemble_matrix,
     build_hamiltonian,
+    chain_matrix,
     sector_basis,
     solve,
     symmetry_blocks,
@@ -246,11 +247,14 @@ def test_kept_blocks_and_multiplicities(chain, dim, mults, blocks, largest):
 def test_open_paper_literal_solves_unreduced():
     # the literal z line breaks both reflection and flip
     spec = ChainSpec(n_sites=4, spin=Fraction(1), couplings=(1.0, 0.7, 0.3), mode=PAPER_LITERAL)
-    M = sector_matrix(spec)
-    K, mult = symmetry_reduction(spec)(M)
-    assert K.n == M.n and (mult == 1).all()
-    assert np.array_equal(solve(spec).eigenvalues,
-                          eigensolve(M, compute_vectors=False).eigenvalues)
+    M, chain = sector_matrix(spec), chain_matrix(spec, sector_basis(spec))
+    for A in (M, chain):
+        K, mult = symmetry_reduction(spec)(A)
+        assert K.n == A.n and (mult == 1).all()
+    got = solve(spec).eigenvalues
+    assert np.array_equal(got, eigensolve(chain, compute_vectors=False).eigenvalues)
+    plain = eigensolve(M, compute_vectors=False).eigenvalues
+    assert np.abs(got - plain).max() <= 1e-12 * np.abs(plain).max()
 
 
 def test_no_kramers_pairs_without_conserved_parity():

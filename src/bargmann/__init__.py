@@ -1,5 +1,5 @@
 """Holomorphic-representation toolkit for quantum angular momentum and spin
-chains: exact normal-ordered operator algebra, sector bases, exact
+chains: exact normal-ordered operator algebra, sector matrices, exact
 diagonalization, thermodynamics, and an independent tensor-product oracle."""
 
 from .algebra import (
@@ -31,12 +31,9 @@ from .chain import (
     PAPER_LITERAL,
     PERIODIC,
     ChainSpec,
-    SectorBasis,
-    assemble_matrix,
     build_hamiltonian,
     chain_matrix,
     mode_difference,
-    sector_basis,
     solve,
 )
 from .dsl import ExponentOverflow, ParseError, SourceSpan, format_operator, parse

@@ -2,11 +2,15 @@
 
 The spin-s sector fixes the boson number alpha_i + beta_i = 2s at every site,
 giving a (2s+1)**n_sites dimensional space isomorphic to the spin chain.
-Hamiltonians are built either compositionally from per-site generators (the
-reference construction) or from a verbatim hand-expanded form kept for
-diagnostic comparison ("paper_literal" mode, whose z-coupling line merges two
-cross terms).  `solve` does not build the whole-chain polynomial: it places the
-sector matrices of one bond, cached per (2s, hbar, mode), on every bond.
+A state is indexed by its z-exponents (a_0, ..., a_{N-1}) as the mixed-radix
+number sum_i a_i (2s+1)**(N-1-i), site 0 slowest.
+
+A chain is one two-site bond operator placed on every bond.  The bond is built
+either compositionally from per-site generators (the reference construction)
+or from a verbatim hand-expanded form kept for diagnostic comparison
+("paper_literal" mode, whose z-coupling line merges two cross terms).  `solve`
+does not build the whole-chain polynomial: it places the sector matrices of
+the bond, cached per (2s, hbar, mode), on every bond.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import numpy as np
 from .algebra import (
     MultiIndex,
     OperatorPolynomial,
-    OperatorTerm,
-    RationalComplex,
+    PolynomialState,
     Var,
-    apply_term,
+    apply,
     compose,
     w_var,
     z_var,
@@ -67,7 +70,14 @@ class ChainSpec:
             if isinstance(v, bool):
                 raise ValueError(f"{name} must be a number, got {v!r}")
         object.__setattr__(self, "spin", exact_number(self.spin, "spin"))
-        object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        couplings = []
+        for name, j in zip(("jx", "jy", "jz"), self.couplings):
+            try:
+                couplings.append(float(j))
+            except OverflowError:     # an int or Fraction too large for a float
+                raise ValueError(f"{name} must be a finite number, got one beyond "
+                                 f"the float range") from None
+        object.__setattr__(self, "couplings", tuple(couplings))
         object.__setattr__(self, "hbar", exact_number(self.hbar, "hbar"))
         n = self.n_sites
         if isinstance(n, bool) or not (isinstance(n, numbers.Integral)
@@ -116,55 +126,10 @@ class ChainSpec:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
-    def to_json(self) -> dict:
-        s = self.spin
-        return {
-            "n_sites": self.n_sites,
-            "spin": str(s.numerator) if s.denominator == 1 else f"{s.numerator}/{s.denominator}",
-            "jx": self.couplings[0],
-            "jy": self.couplings[1],
-            "jz": self.couplings[2],
-            "boundary": self.boundary,
-            "hbar": float(self.hbar),
-            "mode": self.mode,
-        }
-
-
-@dataclass(frozen=True)
-class SectorBasis:
-    """Ordered monomial basis of the spin-s sector.
-
-    States are ordered lexicographically in the per-site magnetization
-    m_i = (alpha_i - beta_i)/2 running -s..+s, site 0 slowest, so the state
-    with z-exponents (a_0, ..., a_{N-1}) has index sum_i a_i (2s+1)**(N-1-i).
-    `len` is that closed form; no state is formed.
-    """
-
-    spin: Fraction
-    n_sites: int
-
-    def __len__(self):
-        return int(2 * self.spin + 1) ** self.n_sites
-
-
-def _sector_monomial(digits, twos: int) -> MultiIndex:
-    """z_i**a_i w_i**(2s-a_i) over sites i = 0, 1, ..., a_i taken from `digits`."""
-    exps = {}
-    for site, a in enumerate(digits):
-        if a:
-            exps[z_var(site)] = a
-        if twos - a:
-            exps[w_var(site)] = twos - a
-    return MultiIndex(exps)
-
 
 def check_dimension(spec: ChainSpec):
     """`check_cap` on the sector dimension (2s+1)**n_sites, without forming it."""
     check_cap(int(2 * spec.spin) + 1, spec.n_sites)
-
-
-def sector_basis(spec: ChainSpec) -> SectorBasis:
-    return SectorBasis(spec.spin, spec.n_sites)
 
 
 def _relabel(m: MultiIndex, site: dict) -> MultiIndex:
@@ -172,61 +137,57 @@ def _relabel(m: MultiIndex, site: dict) -> MultiIndex:
     return MultiIndex._from_dict({Var(site[v.site], v.flavor): e for v, e in m.items()})
 
 
-def _compositional_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
-    """Sum over bonds (i, j) and axes a with J_a != 0 of J_a J_a(i) J_a(j).
-    The bond sum_a J_a J_a(0) J_a(1) is composed and summed once; each bond
-    gets its terms with sites 0 and 1 relabelled to i and j."""
-    h = spec.hbar
-    bond = OperatorPolynomial.sum(
-        compose(j_operator(0, axis, h), j_operator(1, axis, h)).scaled(Fraction(J))
-        for J, axis in zip(spec.couplings, ("x", "y", "z"))
-        if J != 0.0)
+def _bond(couplings, hbar: Fraction, mode: str) -> OperatorPolynomial:
+    """The bond operator on sites 0 and 1.  Compositional: the sum over axes a
+    with J_a != 0 of J_a J_a(0) J_a(1), composed from the per-site generators.
+    Paper-literal: a verbatim transcription of the hand-expanded XYZ form,
+    whose x and y lines agree with the composed product; its z line carries
+    the merged cross term -2 w_0 z_1 dw_0 dz_1 in place of the two distinct
+    cross terms, which is what the verify diff reports."""
+    if mode == COMPOSITIONAL:
+        return OperatorPolynomial.sum(
+            compose(j_operator(0, axis, hbar), j_operator(1, axis, hbar)).scaled(Fraction(J))
+            for J, axis in zip(couplings, ("x", "y", "z"))
+            if J != 0.0)
+    h2 = hbar * hbar
+    jx, jy, jz = (Fraction(J) for J in couplings)
+    z0, w0, z1, w1 = z_var(0), w_var(0), z_var(1), w_var(1)
+    cx = h2 * jx / 4
+    cy = -h2 * jy / 4
+    cz = h2 * jz / 4
+    return OperatorPolynomial.from_terms([
+        (cx, {z0: 1, z1: 1}, {w0: 1, w1: 1}),
+        (cx, {w0: 1, z1: 1}, {z0: 1, w1: 1}),
+        (cx, {z0: 1, w1: 1}, {w0: 1, z1: 1}),
+        (cx, {w0: 1, w1: 1}, {z0: 1, z1: 1}),
+        (cy, {z0: 1, z1: 1}, {w0: 1, w1: 1}),
+        (-cy, {w0: 1, z1: 1}, {z0: 1, w1: 1}),
+        (-cy, {z0: 1, w1: 1}, {w0: 1, z1: 1}),
+        (cy, {w0: 1, w1: 1}, {z0: 1, z1: 1}),
+        (cz, {z0: 1, z1: 1}, {z0: 1, z1: 1}),
+        (-2 * cz, {w0: 1, z1: 1}, {w0: 1, z1: 1}),
+        (cz, {w0: 1, w1: 1}, {w0: 1, w1: 1}),
+    ])
+
+
+def _on_bonds(bond: OperatorPolynomial, spec: ChainSpec) -> OperatorPolynomial:
+    """The sum over the chain's bonds (i, j) of `bond` with sites 0 and 1
+    relabelled to i and j."""
     return OperatorPolynomial(
         ((_relabel(mult, to), _relabel(deriv, to)), c)
         for to in ({0: i, 1: j} for (i, j) in spec.bonds())
         for (mult, deriv), c in bond.items())
 
 
-def _literal_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
-    # Verbatim transcription of the hand-expanded XYZ form.  The x and y
-    # lines agree with the compositional product; the z line carries the
-    # merged cross term -2 w_i z_j dw_i dz_j in place of the two distinct
-    # cross terms, which is what the verify diff reports.
-    h2 = spec.hbar * spec.hbar
-    jx, jy, jz = (Fraction(J) for J in spec.couplings)
-    acc = []
-
-    def add(c: Fraction, mult: dict, deriv: dict):
-        acc.append(((MultiIndex(mult), MultiIndex(deriv)), RationalComplex(c)))
-
-    for (i, j) in spec.bonds():
-        zi, wi, zj, wj = z_var(i), w_var(i), z_var(j), w_var(j)
-        cx = h2 * jx / 4
-        add(cx, {zi: 1, zj: 1}, {wi: 1, wj: 1})
-        add(cx, {wi: 1, zj: 1}, {zi: 1, wj: 1})
-        add(cx, {zi: 1, wj: 1}, {wi: 1, zj: 1})
-        add(cx, {wi: 1, wj: 1}, {zi: 1, zj: 1})
-        cy = -h2 * jy / 4
-        add(cy, {zi: 1, zj: 1}, {wi: 1, wj: 1})
-        add(-cy, {wi: 1, zj: 1}, {zi: 1, wj: 1})
-        add(-cy, {zi: 1, wj: 1}, {wi: 1, zj: 1})
-        add(cy, {wi: 1, wj: 1}, {zi: 1, zj: 1})
-        cz = h2 * jz / 4
-        add(cz, {zi: 1, zj: 1}, {zi: 1, zj: 1})
-        add(-2 * cz, {wi: 1, zj: 1}, {wi: 1, zj: 1})
-        add(cz, {wi: 1, wj: 1}, {wi: 1, wj: 1})
-    return OperatorPolynomial(acc)
-
-
 def build_hamiltonian(spec: ChainSpec) -> OperatorPolynomial:
-    if spec.mode == PAPER_LITERAL:
-        return _literal_hamiltonian(spec)
-    return _compositional_hamiltonian(spec)
+    """The chain's H: its bond operator (`_bond`) on every bond."""
+    return _on_bonds(_bond(spec.couplings, spec.hbar, spec.mode), spec)
 
 
 def mode_difference(spec: ChainSpec) -> OperatorPolynomial:
     """literal-mode minus compositional-mode Hamiltonian, canonical form."""
-    return _literal_hamiltonian(spec) - _compositional_hamiltonian(spec)
+    return _on_bonds(_bond(spec.couplings, spec.hbar, PAPER_LITERAL)
+                     - _bond(spec.couplings, spec.hbar, COMPOSITIONAL), spec)
 
 
 def _check_sector_preserving(H: OperatorPolynomial):
@@ -240,79 +201,6 @@ def _check_sector_preserving(H: OperatorPolynomial):
         if bad:
             raise SectorViolation(
                 f"term does not conserve per-site boson number at sites {sorted(bad)}")
-
-
-def _local_action(t: OperatorTerm, monomials) -> tuple:
-    """(alive, per-site digit change, amplitude) of `t` on each of the local
-    monomials (digits, MultiIndex) of sites 0..k-1."""
-    k = len(monomials[0][0])
-    alive = np.zeros(len(monomials), dtype=bool)
-    delta = np.zeros((len(monomials), k), dtype=np.int64)
-    amp = np.zeros(len(monomials), dtype=np.complex128)
-    for row, (a, m) in enumerate(monomials):
-        r = apply_term(t, m)
-        if r is None:
-            continue
-        m2, value = r
-        alive[row] = True
-        amp[row] = value
-        delta[row] = [m2.get(z_var(site)) - ai for site, ai in enumerate(a)]
-    return alive, delta, amp
-
-
-def assemble_matrix(H: OperatorPolynomial, basis: SectorBasis) -> SectorMatrix:
-    """Sector matrix with entry (r, c) = <basis[r]|H|basis[c]>.
-
-    A term touching k sites acts as a (2s+1)**k local matrix times the
-    identity on the other sites.  Its local action is computed once per term
-    shape, the term with its sites relabelled to 0..k-1 in order:
-    `apply_term` runs on each local monomial of those k sites, and the action
-    is scattered over all columns through the mixed-radix digits of the
-    basis index.  Each term emits at most one entry per column, so
-    `SectorMatrix.from_triplets` sums the contributions to each entry in term
-    order, as a loop over states and terms would.  A term touching a site
-    outside the chain annihilates every sector state.
-
-    Raises SectorViolation if a term changes any site's boson number, and
-    AmplitudeOverflow if a summed entry is beyond the float range.
-    """
-    _check_sector_preserving(H)
-    n, d = basis.n_sites, int(2 * basis.spin) + 1
-    dim = len(basis)
-    columns = np.arange(dim)
-    place = d ** np.arange(n - 1, -1, -1)          # index weight of each site's digit
-    digits = columns[:, None] // place % d         # z-exponent of each site, per column
-    rows = [np.zeros(0, dtype=np.int64)]
-    cols = [np.zeros(0, dtype=np.int64)]
-    vals = [np.zeros(0, dtype=np.complex128)]
-    monomials: dict[int, list] = {}    # k -> local monomials (digits, MultiIndex) of sites 0..k-1
-    local: dict[tuple, np.ndarray] = {}    # sites -> local state per column
-    actions: dict[OperatorTerm, tuple] = {}    # term shape -> `_local_action`
-    for t in H.terms():
-        sites = tuple(sorted({v.site for v in t.mult.variables() + t.deriv.variables()}))
-        if any(not 0 <= site < n for site in sites):
-            continue
-        k = len(sites)
-        to = dict(zip(sites, range(k)))
-        shape = OperatorTerm(t.coeff, _relabel(t.mult, to), _relabel(t.deriv, to))
-        if shape not in actions:
-            if k not in monomials:
-                monomials[k] = [(a, _sector_monomial(a, d - 1))
-                                for a in itertools.product(range(d), repeat=k)]
-            actions[shape] = _local_action(shape, monomials[k])
-        if sites not in local:
-            local[sites] = digits[:, list(sites)] @ (d ** np.arange(k - 1, -1, -1))
-        alive, delta, amp = actions[shape]
-        keep = alive[local[sites]]
-        hit = local[sites][keep]
-        cols.append(columns[keep])
-        rows.append(cols[-1] + (delta @ place[list(sites)])[hit])
-        vals.append(amp[hit])
-    M = SectorMatrix.from_triplets(dim, np.concatenate(rows), np.concatenate(cols),
-                                   np.concatenate(vals))
-    if not np.isfinite(M.vals).all():
-        raise AmplitudeOverflow("a summed matrix element is beyond the float range")
-    return M
 
 
 def _invariance_deviation(M: SectorMatrix, g: np.ndarray) -> float:
@@ -467,25 +355,42 @@ def symmetry_reduction(spec: ChainSpec):
 
 @functools.lru_cache(maxsize=16)
 def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ...]:
-    """The sector matrices T_x, T_y, T_z of one bond with unit couplings: T_a
-    is `assemble_matrix(build_hamiltonian(...))` of the open two-site chain
-    with coupling 1 on axis a, indexed by a_0 d + a_1 (d = 2s+1).  A bond's H
-    is linear in the couplings, so sum_a J_a T_a is the bond (0, 1) of any
-    chain with these spin, hbar and mode.  Cached per process; the arrays are
-    read-only."""
+    """The sector matrices T_x, T_y, T_z of the bond operator (`_bond`), T_a
+    with coupling 1 on axis a, indexed by a_0 d + a_1 (d = 2s+1): column
+    a_0 d + a_1 holds `apply` of the bond on z_0^a_0 w_0^(2s-a_0)
+    z_1^a_1 w_1^(2s-a_1), each resulting monomial m at row
+    m[z_0] d + m[z_1].  A bond's H is linear in the couplings, so
+    sum_a J_a T_a is the bond (0, 1) of any chain with these spin, hbar and
+    mode.  Cached per process; the arrays are read-only.
+
+    Raises SectorViolation if a bond term changes a site's boson number.
+    """
+    d = twos + 1
+    z0, w0, z1, w1 = z_var(0), w_var(0), z_var(1), w_var(1)
+    kets = [MultiIndex({z0: a0, w0: twos - a0, z1: a1, w1: twos - a1})
+            for a0, a1 in itertools.product(range(d), repeat=2)]
     tables = []
     for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        bond = ChainSpec(2, Fraction(twos, 2), unit, OPEN, hbar, mode)
-        T = assemble_matrix(build_hamiltonian(bond), sector_basis(bond))
+        bond = _bond(unit, hbar, mode)
+        _check_sector_preserving(bond)
+        rows, cols, vals = [], [], []
+        for col, ket in enumerate(kets):
+            for m, amp in apply(bond, PolynomialState.monomial(ket)).items():
+                rows.append(m.get(z0) * d + m.get(z1))
+                cols.append(col)
+                vals.append(amp)
+        T = SectorMatrix.from_triplets(d * d, np.array(rows, dtype=np.int64),
+                                       np.array(cols, dtype=np.int64),
+                                       np.array(vals, dtype=np.complex128))
         for a in (T.rows, T.cols, T.vals):
             a.flags.writeable = False
         tables.append(T)
     return tuple(tables)
 
 
-def chain_matrix(spec: ChainSpec, basis: SectorBasis) -> SectorMatrix:
-    """The chain's sector matrix: `assemble_matrix(build_hamiltonian(spec),
-    basis)` up to rounding, without building the whole-chain polynomial.
+def chain_matrix(spec: ChainSpec) -> SectorMatrix:
+    """The chain's sector matrix: the matrix of `build_hamiltonian(spec)` up
+    to rounding, without building the whole-chain polynomial.
 
     The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`) is
     placed on every bond (i, j): its entry (a_i d + a_j, b_i d + b_j) goes to
@@ -495,7 +400,8 @@ def chain_matrix(spec: ChainSpec, basis: SectorBasis) -> SectorMatrix:
 
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
-    d, n, dim = int(2 * spec.spin) + 1, spec.n_sites, len(basis)
+    d, n = int(2 * spec.spin) + 1, spec.n_sites
+    dim = d ** n
     bonds = spec.bonds()
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.complex128))]
@@ -528,8 +434,8 @@ def chain_matrix(spec: ChainSpec, basis: SectorBasis) -> SectorMatrix:
 
 
 def solve(spec: ChainSpec) -> Spectrum:
-    """Eigenvalues of the chain: sector basis, sector matrix from the cached
-    bond tables (`chain_matrix`), eigensolve (no eigenvectors).  The chain is
+    """Eigenvalues of the chain: sector matrix from the cached bond tables
+    (`chain_matrix`), eigensolve (no eigenvectors).  The chain is
     solved in the blocks of its symmetries (`symmetry_reduction`), each block
     of a set with equal spectra once; the checks of `eigensolve` still run on
     the sector matrix itself.
@@ -538,6 +444,5 @@ def solve(spec: ChainSpec) -> Spectrum:
     dimension exceeds the cap of `check_cap`.
     """
     check_dimension(spec)
-    basis = sector_basis(spec)
-    return eigensolve(chain_matrix(spec, basis), compute_vectors=False,
+    return eigensolve(chain_matrix(spec), compute_vectors=False,
                       reduce=symmetry_reduction(spec))

@@ -1,9 +1,9 @@
 """Reference-only code: the per-state paths that the package's fast paths
 replaced, kept to check those paths against.
 
-- `states` lists the monomials of a `SectorBasis` in index order, and
-  `index_of` inverts it; the package forms no state, since `assemble_matrix`
-  and the `basis` listing work from the mixed-radix digits of the index.
+- `states` lists the sector monomials of a chain spec in index order, and
+  `index_of` inverts it; the package forms no chain state, since the bond
+  tables and the `basis` listing work from the mixed-radix digits of the index.
 - `site_magnetization` and `total_magnetization` read m = (alpha - beta)/2
   off a monomial, where the `basis` listing reads it off the digits.
 - `sort_key` is the (site, flavor, exponent) key of a `MultiIndex` that
@@ -11,9 +11,11 @@ replaced, kept to check those paths against.
   (variable, exponent) pairs the `MultiIndex` stores.
 - `as_sector_matrix` turns a scipy sparse matrix into the `SectorMatrix`
   that `eigensolve` reads, summing duplicates in storage order.
-- `whole_chain_matrix` is the sector matrix of the whole-chain polynomial,
-  which `solve` assembled before it placed cached bond tables on the bonds,
-  and `entry_deviation` compares two sector matrices entry by entry.
+- `reference_assemble` is the sector matrix of any sector-preserving operator,
+  applying every term to every enumerated state; `whole_chain_matrix` is that
+  of the whole-chain polynomial, which `solve` assembled before it placed
+  cached bond tables on the bonds, and `entry_deviation` compares two sector
+  matrices entry by entry.
 """
 
 import itertools
@@ -21,31 +23,36 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
-from bargmann.algebra import MultiIndex, w_var, z_var
-from bargmann.chain import assemble_matrix, build_hamiltonian, sector_basis
+from bargmann.algebra import MultiIndex, apply_term, w_var, z_var
+from bargmann.chain import _check_sector_preserving, build_hamiltonian
 from bargmann.errors import SectorViolation
 from bargmann.thermo import SectorMatrix
 
 
-@lru_cache(maxsize=8)
-def states(basis) -> tuple[MultiIndex, ...]:
+def states(spec) -> tuple[MultiIndex, ...]:
     """z_i**a_i w_i**(2s-a_i) over all sites, for every digit tuple
     (a_0, ..., a_{N-1}) in lexicographic order, site 0 slowest."""
-    twos = int(2 * basis.spin)
-    return tuple(MultiIndex(pair for site, a in enumerate(digits)
-                            for pair in ((z_var(site), a), (w_var(site), twos - a)))
-                 for digits in itertools.product(range(twos + 1), repeat=basis.n_sites))
+    return _states(spec.spin, spec.n_sites)
 
 
 @lru_cache(maxsize=8)
-def _index(basis) -> dict:
-    return {m: i for i, m in enumerate(states(basis))}
+def _states(spin, n_sites) -> tuple[MultiIndex, ...]:
+    twos = int(2 * spin)
+    return tuple(MultiIndex(pair for site, a in enumerate(digits)
+                            for pair in ((z_var(site), a), (w_var(site), twos - a)))
+                 for digits in itertools.product(range(twos + 1), repeat=n_sites))
 
 
-def index_of(basis, m: MultiIndex) -> int:
+@lru_cache(maxsize=8)
+def _index(spin, n_sites) -> dict:
+    return {m: i for i, m in enumerate(_states(spin, n_sites))}
+
+
+def index_of(spec, m: MultiIndex) -> int:
     try:
-        return _index(basis)[m]
+        return _index(spec.spin, spec.n_sites)[m]
     except KeyError:
         raise SectorViolation(f"{m!r} is not a sector basis state") from None
 
@@ -72,8 +79,26 @@ def as_sector_matrix(A):
     return SectorMatrix.from_triplets(A.shape[0], C.row, C.col, C.data)
 
 
+def reference_assemble(H, spec):
+    """H on the sector of `spec` as a scipy CSR matrix: a column-by-column,
+    term-by-term loop over the enumerated states."""
+    _check_sector_preserving(H)
+    rows, cols, vals = [], [], []
+    for col, ket in enumerate(states(spec)):
+        for t in H.terms():
+            r = apply_term(t, ket)
+            if r is None:
+                continue
+            m2, amp = r
+            rows.append(index_of(spec, m2))
+            cols.append(col)
+            vals.append(amp)
+    n = len(states(spec))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.complex128).tocsr()
+
+
 def whole_chain_matrix(spec):
-    return assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+    return as_sector_matrix(reference_assemble(build_hamiltonian(spec), spec))
 
 
 def entry_deviation(A, B) -> float:

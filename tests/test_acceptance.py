@@ -31,9 +31,7 @@ from bargmann.chain import (
     OPEN,
     PERIODIC,
     ChainSpec,
-    assemble_matrix,
-    build_hamiltonian,
-    sector_basis,
+    chain_matrix,
     solve,
 )
 from bargmann.dsl import ParseError, format_operator, parse
@@ -173,10 +171,9 @@ def test_criterion_05_spectrum_equivalence():
 def test_criterion_06_entrywise_agreement():
     for s in (Fraction(1, 2), Fraction(1)):
         spec = ChainSpec(n_sites=2, spin=s, couplings=(0.9, -1.4, 0.6))
-        basis = sector_basis(spec)
-        M = assemble_matrix(build_hamiltonian(spec), basis).toarray()
+        M = chain_matrix(spec).toarray()
         Ho = oracle_hamiltonian(spec)
-        perm = [basis_isomorphism(m, s, 2) for m in states(basis)]
+        perm = [basis_isomorphism(m, s, 2) for m in states(spec)]
         P = np.zeros_like(Ho)
         for i, p in enumerate(perm):
             P[p, i] = 1.0
@@ -187,7 +184,7 @@ def test_criterion_06_entrywise_agreement():
 def test_criterion_07_thermodynamics():
     spec = ChainSpec(n_sites=3, spin=Fraction(1, 2), couplings=(1, 1, 1),
                      boundary=PERIODIC)
-    M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
+    M = chain_matrix(spec)
     s = eigensolve(M, compute_vectors=False)
     h_max = np.abs(M.toarray()).max()
     dim = len(s)

@@ -27,18 +27,23 @@ from bargmann.chain import (
     PERIODIC,
     ChainSpec,
     _bond_tables,
-    assemble_matrix,
     build_hamiltonian,
     chain_matrix,
     mode_difference,
-    sector_basis,
     solve,
     symmetry_reduction,
 )
 from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, SectorViolation
 from bargmann.thermo import SectorMatrix, eigensolve
 
-from reference import entry_deviation, index_of, states, total_magnetization, whole_chain_matrix
+from reference import (
+    entry_deviation,
+    index_of,
+    reference_assemble,
+    states,
+    total_magnetization,
+    whole_chain_matrix,
+)
 
 couplings_st = st.tuples(*[st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 4))] * 3)
 
@@ -82,11 +87,21 @@ class TestChainSpec:
         assert xxx_spec(4).bonds() == [(0, 1), (1, 2), (2, 3)]
         assert xxx_spec(4, boundary=PERIODIC).bonds() == [(0, 1), (1, 2), (2, 3), (3, 0)]
 
-    def test_json_roundtrip(self):
-        spec = ChainSpec(n_sites=3, spin=Fraction(3, 2), couplings=(1.0, 0.5, -0.25),
-                         boundary=PERIODIC, hbar=Fraction(1, 2), mode=PAPER_LITERAL)
-        assert ChainSpec.from_json(spec.to_json()) == spec
-        assert spec.to_json()["spin"] == "3/2"
+    def test_from_json(self):
+        spec = ChainSpec.from_json({"n_sites": 3, "spin": "3/2", "jx": 1.0, "jy": 0.5,
+                                    "jz": -0.25, "boundary": "periodic", "hbar": "2/3",
+                                    "mode": "paper_literal"})
+        assert spec == ChainSpec(n_sites=3, spin=Fraction(3, 2), couplings=(1.0, 0.5, -0.25),
+                                 boundary=PERIODIC, hbar=Fraction(2, 3), mode=PAPER_LITERAL)
+
+    def test_coupling_beyond_float_range(self):
+        for field in ("jx", "jy", "jz"):
+            obj = {"n_sites": 2, "spin": "1/2", "jx": 1, "jy": 1, "jz": 1, field: 10 ** 400}
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number, got one "
+                                                 f"beyond the float range$"):
+                ChainSpec.from_json(obj)
+        with pytest.raises(ValueError, match="^jz must be a finite number"):
+            ChainSpec(n_sites=2, spin=Fraction(1, 2), couplings=(1, 1, Fraction(10 ** 400, 3)))
 
     def test_dimension(self):
         assert xxx_spec(3).dimension() == 8
@@ -95,21 +110,19 @@ class TestChainSpec:
 
 class TestSectorBasis:
     def test_single_site_spin_half(self):
-        basis = sector_basis(xxx_spec(1))
-        assert list(states(basis)) == [MultiIndex({w_var(0): 1}), MultiIndex({z_var(0): 1})]
+        assert list(states(xxx_spec(1))) == [MultiIndex({w_var(0): 1}),
+                                             MultiIndex({z_var(0): 1})]
 
     def test_single_site_spin_one(self):
-        basis = sector_basis(xxx_spec(1, s=Fraction(1)))
-        assert list(states(basis)) == [
+        assert list(states(xxx_spec(1, s=Fraction(1)))) == [
             MultiIndex({w_var(0): 2}),
             MultiIndex({z_var(0): 1, w_var(0): 1}),
             MultiIndex({z_var(0): 2}),
         ]
 
     def test_two_sites(self):
-        basis = sector_basis(xxx_spec(2))
         z0, w0, z1, w1 = z_var(0), w_var(0), z_var(1), w_var(1)
-        assert list(states(basis)) == [
+        assert list(states(xxx_spec(2))) == [
             MultiIndex({w0: 1, w1: 1}),
             MultiIndex({w0: 1, z1: 1}),
             MultiIndex({z0: 1, w1: 1}),
@@ -119,19 +132,18 @@ class TestSectorBasis:
     def test_counts_and_per_site_constraint(self):
         for n, s in ((3, Fraction(1, 2)), (2, Fraction(1)), (2, Fraction(3, 2))):
             spec = xxx_spec(n, s=s)
-            basis = sector_basis(spec)
-            assert len(basis) == spec.dimension()
+            assert len(states(spec)) == spec.dimension()
             twos = int(2 * s)
-            for m in states(basis):
+            for m in states(spec):
                 for site in range(n):
                     assert m.get(z_var(site)) + m.get(w_var(site)) == twos
 
     def test_index_of(self):
-        basis = sector_basis(xxx_spec(2))
-        for i, m in enumerate(states(basis)):
-            assert index_of(basis, m) == i
+        spec = xxx_spec(2)
+        for i, m in enumerate(states(spec)):
+            assert index_of(spec, m) == i
         with pytest.raises(SectorViolation):
-            index_of(basis, MultiIndex({z_var(0): 2}))
+            index_of(spec, MultiIndex({z_var(0): 2}))
 
 
 class TestBuildHamiltonian:
@@ -149,7 +161,7 @@ class TestBuildHamiltonian:
 
     def test_anchor_spectrum(self):
         spec = xxx_spec(2)
-        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec)).toarray()
+        M = chain_matrix(spec).toarray()
         eigs = np.sort(np.linalg.eigvalsh(M))
         assert np.allclose(eigs, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
@@ -200,20 +212,18 @@ def per_bond_hamiltonian(spec):
         if J != 0.0)
 
 
-class TestAssembleMatrix:
+class TestSectorMatrix:
     def test_total_z_single_site(self):
-        spec = xxx_spec(1)
-        M = assemble_matrix(total_operator("z", [0]), sector_basis(spec)).toarray()
+        M = reference_assemble(total_operator("z", [0]), xxx_spec(1)).toarray()
         assert np.allclose(M, np.diag([-0.5, 0.5]), atol=1e-15)
 
-    def test_zero_operator(self):
-        spec = xxx_spec(2)
-        M = assemble_matrix(OperatorPolynomial.zero(), sector_basis(spec)).toarray()
-        assert not M.any()
+    def test_zero_couplings(self):
+        for boundary in (OPEN, PERIODIC):
+            M = chain_matrix(xxx_spec(3, j=0.0, boundary=boundary))
+            assert M.n == 8 and M.nnz == 0
 
     def test_xxx_two_site_matrix(self):
-        spec = xxx_spec(2)
-        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec)).toarray()
+        M = chain_matrix(xxx_spec(2)).toarray()
         want = np.diag([0.25, -0.25, -0.25, 0.25]).astype(complex)
         want[1, 2] = want[2, 1] = 0.5
         assert np.abs(M - want).max() < 1e-14
@@ -221,55 +231,52 @@ class TestAssembleMatrix:
     def test_entries_match_matrix_element(self):
         spec = ChainSpec(n_sites=2, spin=Fraction(1), couplings=(0.7, -.3, 1.1),
                          boundary=PERIODIC)
-        basis = sector_basis(spec)
         H = build_hamiltonian(spec)
-        M = assemble_matrix(H, basis).toarray()
-        for r, c in itertools.product(range(len(basis)), repeat=2):
-            want = matrix_element(states(basis)[r], H, states(basis)[c])
+        M = chain_matrix(spec).toarray()
+        for r, c in itertools.product(range(spec.dimension()), repeat=2):
+            want = matrix_element(states(spec)[r], H, states(spec)[c])
             assert abs(M[r, c] - want) <= 1e-13
 
     def test_hermitian_to_tolerance(self):
         spec = ChainSpec(n_sites=3, spin=Fraction(1, 2), couplings=(0.9, 0.4, -1.3),
                          boundary=PERIODIC)
-        M = assemble_matrix(build_hamiltonian(spec), sector_basis(spec)).toarray()
+        M = chain_matrix(spec).toarray()
         assert np.abs(M - M.conj().T).max() < 1e-12
 
-    def test_sector_violation(self):
-        spec = xxx_spec(2)
-        basis = sector_basis(spec)
+    def test_sector_violation(self, monkeypatch, cold_bond_tables):
+        import bargmann.chain as chainmod
         bare_z = single_term(1, {z_var(0): 1}, {})
+        monkeypatch.setattr(chainmod, "_bond", lambda couplings, hbar, mode: bare_z)
         with pytest.raises(SectorViolation):
-            assemble_matrix(bare_z, basis)
+            chain_matrix(xxx_spec(2))
 
 
 class TestMagnetizationBlocks:
     def test_two_sites(self):
-        ms = Counter(total_magnetization(m, 2) for m in states(sector_basis(xxx_spec(2))))
+        ms = Counter(total_magnetization(m, 2) for m in states(xxx_spec(2)))
         assert sorted(ms.items()) == [(Fraction(-1), 1), (Fraction(0), 2), (Fraction(1), 1)]
 
     def test_three_sites_binomial(self):
-        ms = Counter(total_magnetization(m, 3) for m in states(sector_basis(xxx_spec(3))))
+        ms = Counter(total_magnetization(m, 3) for m in states(xxx_spec(3)))
         assert [ms[m] for m in sorted(ms)] == [1, 3, 3, 1]
 
     def test_block_union_is_full_spectrum(self):
         spec = xxx_spec(4)
-        basis = sector_basis(spec)
-        M = assemble_matrix(build_hamiltonian(spec), basis).toarray()
+        M = chain_matrix(spec).toarray()
         full = np.sort(np.linalg.eigvalsh(M))
-        ms = [total_magnetization(m, spec.n_sites) for m in states(basis)]
+        ms = [total_magnetization(m, spec.n_sites) for m in states(spec)]
         pieces = []
         for m in sorted(set(ms)):
             ix = [i for i, mi in enumerate(ms) if mi == m]
             sub = M[np.ix_(ix, ix)]
             pieces.extend(np.linalg.eigvalsh(sub))
             # H conserves total magnetization, so off-block entries vanish
-            rest = [i for i in range(len(basis)) if i not in ix]
+            rest = [i for i in range(spec.dimension()) if i not in ix]
             assert np.abs(M[np.ix_(ix, rest)]).max(initial=0.0) < 1e-14
         assert np.abs(np.sort(pieces) - full).max() < 1e-9
 
     def test_total_magnetization_values(self):
-        basis = sector_basis(xxx_spec(2))
-        ms = [total_magnetization(m, 2) for m in states(basis)]
+        ms = [total_magnetization(m, 2) for m in states(xxx_spec(2))]
         assert ms == [Fraction(-1), Fraction(0), Fraction(0), Fraction(1)]
 
 
@@ -281,7 +288,7 @@ class TestSolve:
     def test_matches_hand_wired_pipeline(self, spin, n, boundary, mode):
         spec = ChainSpec(n_sites=n, spin=spin, couplings=(1.0, 0.7, 0.3),
                          boundary=boundary, mode=mode)
-        chain = chain_matrix(spec, sector_basis(spec))
+        chain = chain_matrix(spec)
         expected = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
         got = solve(spec)
         assert np.array_equal(got.eigenvalues, expected.eigenvalues)
@@ -330,12 +337,12 @@ def chain_specs(draw):
 
 class TestChainMatrix:
     """The sector matrix of `solve`, from bond tables placed on every bond,
-    against the whole-chain polynomial assembled by `assemble_matrix`."""
+    against the whole-chain polynomial assembled state by state."""
 
     @given(chain_specs())
     @settings(max_examples=200)
     def test_matches_whole_chain_build(self, spec):
-        got, want = chain_matrix(spec, sector_basis(spec)), whole_chain_matrix(spec)
+        got, want = chain_matrix(spec), whole_chain_matrix(spec)
         assert got.n == want.n == spec.dimension()
         assert entry_deviation(got, want) <= 1e-15 * np.abs(want.vals).max(initial=0.0)
 
@@ -371,12 +378,15 @@ class TestChainMatrix:
 
     @pytest.mark.parametrize("hbar", [Fraction(19, 10), Fraction(3)])
     def test_entry_beyond_float_range(self, hbar):
-        # at 19/10 each S^z S^z amplitude is finite and the sum of three is not;
-        # at 3 one amplitude is beyond the float range
+        # at 19/10 each S^z S^z entry J_z T_z is finite and the sum of three is not;
+        # at 3 one entry is beyond the float range, and so is the whole-chain amplitude
         spec = ChainSpec(n_sites=3, spin=Fraction(1, 2), couplings=(0, 0, 1.7e308),
                          boundary=PERIODIC, hbar=hbar)
-        with pytest.raises(AmplitudeOverflow):
-            whole_chain_matrix(spec)
+        if hbar == 3:
+            with pytest.raises(AmplitudeOverflow):
+                whole_chain_matrix(spec)
+        with pytest.raises(AmplitudeOverflow, match="summed matrix element"):
+            chain_matrix(spec)
         with pytest.raises(AmplitudeOverflow, match="summed matrix element"):
             solve(spec)
 
@@ -407,9 +417,9 @@ class TestOneCap:
         def fail(*args, **kwargs):
             raise AssertionError("built beyond the cap")
 
-        for module, name in [(chainmod, "sector_basis"), (chainmod, "build_hamiltonian"),
-                             (chainmod, "assemble_matrix"), (chainmod, "_bond_tables"),
-                             (oraclemod, "spin_matrices"), (ChainSpec, "dimension")]:
+        for module, name in [(chainmod, "build_hamiltonian"), (chainmod, "_bond"),
+                             (chainmod, "_bond_tables"), (oraclemod, "spin_matrices"),
+                             (ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
 
     def test_api_reads_the_variable(self, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from bargmann import cli
 from bargmann.algebra import single_term, z_var
-from bargmann.chain import ChainSpec, sector_basis
+from bargmann.chain import ChainSpec
 from bargmann.dsl import format_monomial
 
 from reference import site_magnetization, states, total_magnetization
@@ -48,7 +48,7 @@ def run_cli(args, scipy_blocked=False):
 def reference_basis_listing(spec):
     """The `basis` text built state by state, as before the digit tables."""
     lines = []
-    for i, m in enumerate(states(sector_basis(spec))):
+    for i, m in enumerate(states(spec)):
         per_site = " ".join(f"(j={spec.spin}, m={site_magnetization(m, site)})"
                             for site in range(spec.n_sites))
         lines.append(f"{i}: {format_monomial(m)} | {per_site} | "
@@ -181,12 +181,30 @@ class TestDiag:
         assert capsys.readouterr() == ("", f"error: {field} must be a finite number, "
                                            f"got {shown}\n")
 
+    @pytest.mark.parametrize("command", [["diag"], ["verify"]])
+    @pytest.mark.parametrize("field", ["jx", "jy", "jz"])
+    def test_coupling_beyond_float_range_exit_2(self, tmp_path, capsys, command, field):
+        path = tmp_path / "chain.json"
+        path.write_text(Path(write_spec(tmp_path)).read_text()
+                        .replace(f'"{field}": 1.0', f'"{field}": 1{"0" * 399}'))
+        assert cli.main([*command, "--spec", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {field} must be a finite number, got one "
+                                           f"beyond the float range\n")
+
+    def test_bond_amplitude_overflow_exit_2(self, tmp_path, capsys, cold_bond_tables):
+        # hbar^2 / 4 is beyond the float range, so a term of the unit bond is too
+        assert cli.main(["diag", "--spec", write_spec(tmp_path, hbar=10 ** 200)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: amplitude of a term acting on")
+        assert err.endswith("is beyond the float range\n")
+
     def test_sector_violation_exit_4(self, tmp_path, monkeypatch, cold_bond_tables):
-        # the bond tables are filled from the patched build
+        # the bond tables are filled from the patched bond
         import bargmann.chain as chainmod
         spec = write_spec(tmp_path)
-        monkeypatch.setattr(chainmod, "build_hamiltonian",
-                            lambda s: single_term(1, {z_var(0): 1}, {}))
+        monkeypatch.setattr(chainmod, "_bond",
+                            lambda couplings, hbar, mode: single_term(1, {z_var(0): 1}, {}))
         assert cli.main(["diag", "--spec", spec]) == 4
 
 
@@ -599,10 +617,9 @@ class TestOneCap:
         def fail(*args, **kwargs):
             raise AssertionError("built beyond the cap")
 
-        for module, name in [(cli, "format_monomial"), (chainmod, "sector_basis"),
-                             (chainmod, "build_hamiltonian"), (chainmod, "assemble_matrix"),
-                             (chainmod, "_bond_tables"), (oraclemod, "spin_matrices"),
-                             (chainmod.ChainSpec, "dimension")]:
+        for module, name in [(cli, "format_monomial"), (chainmod, "build_hamiltonian"),
+                             (chainmod, "_bond"), (chainmod, "_bond_tables"),
+                             (oraclemod, "spin_matrices"), (chainmod.ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
         spec = write_spec(tmp_path, spin=spin, n_sites=n_sites)
         start = time.perf_counter()

@@ -21,10 +21,8 @@ from bargmann.chain import (
     PAPER_LITERAL,
     PERIODIC,
     ChainSpec,
-    assemble_matrix,
     build_hamiltonian,
     chain_matrix,
-    sector_basis,
     solve,
     symmetry_blocks,
     symmetry_reduction,
@@ -32,11 +30,9 @@ from bargmann.chain import (
 from bargmann.errors import NotHermitian
 from bargmann.thermo import SectorMatrix, _components, eigensolve
 
+from reference import as_sector_matrix, reference_assemble, whole_chain_matrix
+
 HALF = Fraction(1, 2)
-
-
-def sector_matrix(spec):
-    return assemble_matrix(build_hamiltonian(spec), sector_basis(spec))
 
 
 def digit_maps(d, n):
@@ -149,7 +145,7 @@ SMALL = [(HALF, 2), (HALF, 3), (HALF, 4), (HALF, 6), (Fraction(1), 3), (Fraction
 def test_blocks_equal_dense_momentum_projection(spin, n, mode):
     spec = ChainSpec(n_sites=n, spin=spin, couplings=(0.9, -0.6, 0.35), boundary=PERIODIC,
                      hbar=Fraction(2, 3), mode=mode)
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     generators = [(digit_maps(int(2 * spin) + 1, n)["T"], n)]
     assert_blocks_equal_projection(M, generators, real=True)
     # a complex translation-invariant M keeps k and -k apart
@@ -165,7 +161,7 @@ def test_blocks_equal_dense_symmetry_projection(spin, n, group):
                      boundary=PERIODIC if "T" in group else OPEN)
     maps = digit_maps(int(2 * spin) + 1, n)
     generators = [(maps[g], n if g == "T" else 2) for g in group]
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     assert_blocks_equal_projection(M, generators, real=True)
     # a complex M is not conjugate-paired: every character keeps its block
     K, mult, _ = assert_blocks_equal_projection(invariant_complex(M, generators), generators,
@@ -177,7 +173,7 @@ def test_blocks_equal_dense_symmetry_projection(spin, n, group):
 def test_block_sizes_are_orbit_counts(spin, n):
     spec = ChainSpec(n_sites=n, spin=spin, couplings=(1.0, 0.7, 0.3), boundary=PERIODIC)
     d = int(2 * spin) + 1
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     generators = [(digit_maps(d, n)["T"], n)]
     K, mult = symmetry_blocks(M, generators)
     kept = kept_characters([n], real=True)
@@ -209,7 +205,7 @@ def test_spectrum_matches_unblocked(spin, n, boundary, mode):
     for k, couplings in enumerate(COUPLINGS):
         spec = ChainSpec(n_sites=n, spin=spin, couplings=couplings, boundary=boundary,
                          hbar=Fraction(2, 3) if k % 2 else 1, mode=mode)
-        plain = eigensolve(sector_matrix(spec), compute_vectors=False)
+        plain = eigensolve(chain_matrix(spec), compute_vectors=False)
         got = solve(spec)
         scale = np.abs(plain.eigenvalues).max()
         assert len(got) == len(plain)
@@ -236,7 +232,7 @@ KEPT = [
 def test_kept_blocks_and_multiplicities(chain, dim, mults, blocks, largest):
     n, spin, couplings, boundary, mode = chain
     spec = ChainSpec(n_sites=n, spin=spin, couplings=couplings, boundary=boundary, mode=mode)
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     K, mult = symmetry_reduction(spec)(M)
     assert K.n == dim
     assert dict(Counter(mult.tolist())) == mults
@@ -247,7 +243,7 @@ def test_kept_blocks_and_multiplicities(chain, dim, mults, blocks, largest):
 def test_open_paper_literal_solves_unreduced():
     # the literal z line breaks both reflection and flip
     spec = ChainSpec(n_sites=4, spin=Fraction(1), couplings=(1.0, 0.7, 0.3), mode=PAPER_LITERAL)
-    M, chain = sector_matrix(spec), chain_matrix(spec, sector_basis(spec))
+    M, chain = whole_chain_matrix(spec), chain_matrix(spec)
     for A in (M, chain):
         K, mult = symmetry_reduction(spec)(A)
         assert K.n == A.n and (mult == 1).all()
@@ -263,7 +259,7 @@ def test_no_kramers_pairs_without_conserved_parity():
     spec = ChainSpec(n_sites=5, spin=HALF, couplings=(1.0, 0.7, 0.3))
     field = sum((j_operator(i, "x", 1).scaled(Fraction(37, 100)) for i in range(1, 5)),
                 j_operator(0, "x", 1).scaled(Fraction(37, 100)))
-    M = assemble_matrix(build_hamiltonian(spec) + field, sector_basis(spec))
+    M = as_sector_matrix(reference_assemble(build_hamiltonian(spec) + field, spec))
     K, mult = symmetry_reduction(spec)(M)
     assert K.n == M.n and (mult == 1).all()
     plain = eigensolve(M, compute_vectors=False).eigenvalues
@@ -276,7 +272,7 @@ def test_large_couplings_pass_the_gates():
     # K summed from these entries misses exact Hermiticity by ~2e-8 on 1e8;
     # K is symmetrized instead of re-gated
     spec = ChainSpec(n_sites=8, spin=HALF, couplings=(1e8, 7e7, 3e7), boundary=PERIODIC)
-    plain = eigensolve(sector_matrix(spec), compute_vectors=False).eigenvalues
+    plain = eigensolve(chain_matrix(spec), compute_vectors=False).eigenvalues
     got = solve(spec).eigenvalues
     assert np.abs(got - plain).max() <= 1e-12 * np.abs(plain).max()
 
@@ -292,7 +288,7 @@ def perturbed(M, k, factor):
 
 def test_broken_translation_invariance_raises():
     spec = ChainSpec(n_sites=4, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary=PERIODIC)
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     k = int(np.flatnonzero(M.rows != M.cols)[0])
     with pytest.raises(RuntimeError, match="not translation invariant"):
         eigensolve(perturbed(M, k, 1 + 1e-9), compute_vectors=False,
@@ -305,7 +301,7 @@ def test_broken_translation_invariance_raises():
 
 def test_broken_reflection_and_flip_are_dropped():
     spec = ChainSpec(n_sites=5, spin=HALF, couplings=(1.0, 0.7, 0.3))
-    M = sector_matrix(spec)
+    M = chain_matrix(spec)
     k = int(np.flatnonzero(M.rows != M.cols)[0])
     assert symmetry_reduction(spec)(perturbed(M, k, 1 + 1e-15))[0].n == 16
     broken = perturbed(M, k, 1 + 1e-9)

@@ -44,6 +44,7 @@ PERIODIC = "periodic"
 COMPOSITIONAL = "compositional"
 PAPER_LITERAL = "paper_literal"
 INVARIANCE_TOL = 1e-12
+UNREDUCED_MAX_DIM = 128     # `solve` reduces by symmetry only above: the measured crossover
 
 
 def exact_number(value, name: str) -> Fraction:
@@ -435,14 +436,15 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
 
 def solve(spec: ChainSpec) -> Spectrum:
     """Eigenvalues of the chain: sector matrix from the cached bond tables
-    (`chain_matrix`), eigensolve (no eigenvectors).  The chain is
-    solved in the blocks of its symmetries (`symmetry_reduction`), each block
-    of a set with equal spectra once; the checks of `eigensolve` still run on
-    the sector matrix itself.
+    (`chain_matrix`), eigensolve (no eigenvectors).  A chain of dimension
+    above UNREDUCED_MAX_DIM is solved in the blocks of its symmetries
+    (`symmetry_reduction`), each block of a set with equal spectra once; a
+    smaller one is solved unreduced, in the blocks of its nonzero pattern
+    alone.  The checks of `eigensolve` run on the sector matrix either way.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.
     """
     check_dimension(spec)
-    return eigensolve(chain_matrix(spec), compute_vectors=False,
-                      reduce=symmetry_reduction(spec))
+    reduce = symmetry_reduction(spec) if spec.dimension() > UNREDUCED_MAX_DIM else None
+    return eigensolve(chain_matrix(spec), compute_vectors=False, reduce=reduce)

@@ -21,6 +21,7 @@ from .errors import DimensionTooLarge, NotHermitian, NotNormalized
 MAX_DENSE_DIM = 8192
 HERMITICITY_TOL = 1e-10
 RESIDUAL_FACTOR = 1e-8
+SWEEP_CHUNK = 2 ** 18      # floats per (temperature, level) weight array of `thermo_sweep`
 
 
 def check_cap(d: int, n_sites: int = 1):
@@ -343,32 +344,20 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
 
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
-    """Z, F, S, <E> at a positive, finite temperature T (k_B = 1),
-    overflow-safe via the ground-energy shift Z = e^(-E0/T) * sum e^(-(En-E0)/T)."""
+    """Z, F, S, <E> at a positive, finite temperature T: `thermo_sweep` at T."""
     if not T > 0:
         raise ValueError("temperature must be positive")
     if math.isinf(T):
         raise ValueError("temperature must be finite")
-    E = spec.eigenvalues
-    if len(E) == 0:
-        raise ValueError("empty spectrum")
-    beta = 1.0 / T
-    e0 = float(E[0])
-    w = np.exp(-beta * (E - e0))
-    W = float(w.sum())
-    log_z = -beta * e0 + math.log(W)
-    try:
-        Z = math.exp(log_z)
-    except OverflowError:
-        Z = math.inf
-    F = e0 - T * math.log(W)
-    mean_E = float((E * w).sum()) / W
-    S = (mean_E - F) / T
-    return ThermoPoint(temperature=float(T), Z=Z, free_energy=F,
-                       entropy=S, mean_energy=mean_E)
+    return thermo_sweep(spec, [T])[0]
 
 
 def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
+    """Z, F, S, <E> (k_B = 1) at each T of an ascending grid of positive, finite
+    temperatures, overflow-safe as Z = e^(-E0/T) W, W = sum e^(-(En-E0)/T), with
+    the weights of up to SWEEP_CHUNK // dim temperatures formed at once.  Where
+    1/T overflows, the T -> 0+ limit is taken: weight 1 on the levels equal to
+    E0 and 0 above, so Z is inf, W or 0 as E0 is below, at or above 0."""
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
@@ -376,7 +365,31 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
         raise ValueError("all temperatures must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be ascending")
-    return [partition_function(spec, t) for t in grid]
+    E = spec.eigenvalues
+    if not grid:
+        return []
+    if len(E) == 0:
+        raise ValueError("empty spectrum")
+    e0 = float(E[0])
+    points = []
+    step = max(1, SWEEP_CHUNK // len(E))
+    for lo in range(0, len(grid), step):
+        temps = grid[lo:lo + step]
+        with np.errstate(over="ignore", invalid="ignore"):   # 1/T, and inf * 0 at E0
+            betas = 1.0 / np.array(temps)
+            w = np.exp(-betas[:, None] * (E - e0))
+        w[np.ix_(np.isinf(betas), E == e0)] = 1.0
+        Ws = w.sum(axis=1).tolist()
+        EWs = np.multiply(w, E, out=w).sum(axis=1).tolist()
+        for T, beta, W, EW in zip(temps, betas.tolist(), Ws, EWs):
+            log_w = math.log(W)
+            try:
+                Z = math.exp((-beta * e0 if e0 else 0.0) + log_w)
+            except OverflowError:
+                Z = math.inf
+            F = e0 - T * log_w
+            points.append(ThermoPoint(T, Z, F, (EW / W - F) / T, EW / W))
+    return points
 
 
 def _f17(x: float) -> str:

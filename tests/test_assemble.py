@@ -31,6 +31,7 @@ from bargmann.chain import (
     OPEN,
     PAPER_LITERAL,
     PERIODIC,
+    UNREDUCED_MAX_DIM,
     ChainSpec,
     _bond,
     _bond_tables,
@@ -80,13 +81,18 @@ LADDER = [(HALF, 6), (Fraction(1), 4), (Fraction(3, 2), 3), (Fraction(2), 3)]
 def test_chain_ladder(spin, n, boundary, mode):
     spec = ChainSpec(n_sites=n, spin=spin, couplings=(0.7, -1.3, 0.45),
                      boundary=boundary, hbar=Fraction(2, 3), mode=mode)
-    # `solve` is the symmetry blocks of the bond-table matrix, bit for bit
+    # `solve` is the bond-table matrix's pipeline that the dimension selects,
+    # bit for bit: symmetry blocks above UNREDUCED_MAX_DIM, unreduced up to it
     chain = chain_matrix(spec)
     assert chain.nnz > 0
-    want = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
+    reduced = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
+    unreduced = eigensolve(chain, compute_vectors=False)
+    want = reduced if chain.n > UNREDUCED_MAX_DIM else unreduced
     got = solve(spec)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.residual_bound == want.residual_bound
+    scale = np.abs(unreduced.eigenvalues).max()
+    assert np.abs(reduced.eigenvalues - unreduced.eigenvalues).max() <= 1e-12 * scale
     # which is the reference triplets' matrix up to rounding
     ref = as_sector_matrix(reference_assemble(build_hamiltonian(spec), spec))
     assert entry_deviation(chain, ref) <= 1e-15 * np.abs(ref.vals).max()

@@ -25,6 +25,7 @@ from bargmann.chain import (
     OPEN,
     PAPER_LITERAL,
     PERIODIC,
+    UNREDUCED_MAX_DIM,
     ChainSpec,
     _bond_tables,
     build_hamiltonian,
@@ -290,11 +291,15 @@ class TestSolve:
         spec = ChainSpec(n_sites=n, spin=spin, couplings=(1.0, 0.7, 0.3),
                          boundary=boundary, mode=mode)
         chain = chain_matrix(spec)
-        expected = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
+        reduced = eigensolve(chain, compute_vectors=False, reduce=symmetry_reduction(spec))
+        unreduced = eigensolve(chain, compute_vectors=False)
+        expected = reduced if chain.n > UNREDUCED_MAX_DIM else unreduced
         got = solve(spec)
         assert np.array_equal(got.eigenvalues, expected.eigenvalues)
         assert got.residual_bound == expected.residual_bound
         assert got.eigenvectors is None
+        scale = np.abs(unreduced.eigenvalues).max()
+        assert np.abs(reduced.eigenvalues - unreduced.eigenvalues).max() <= 1e-12 * scale
         M = whole_chain_matrix(spec)
         assert entry_deviation(chain, M) <= 1e-15 * np.abs(M.vals).max()
         plain = eigensolve(M, compute_vectors=False).eigenvalues
@@ -303,6 +308,25 @@ class TestSolve:
             # the literal z line breaks reflection and flip, so nothing is reduced
             assert np.array_equal(got.eigenvalues,
                                   eigensolve(chain, compute_vectors=False).eigenvalues)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_reduces_only_above_the_crossover(self, monkeypatch, n):
+        import bargmann.chain as chainmod
+
+        calls = []
+        real_blocks = chainmod.symmetry_blocks
+
+        def counted(*args):
+            calls.append(args[0].n)
+            return real_blocks(*args)
+
+        monkeypatch.setattr(chainmod, "symmetry_blocks", counted)
+        spec = ChainSpec(n_sites=n, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        solve(spec)
+        # the crossover lies between dimension 128 (N = 7) and 256 (N = 8)
+        assert calls == ([2 ** n] if 2 ** n > UNREDUCED_MAX_DIM else [])
+        assert calls == {7: [], 8: [256]}[n]
 
     def test_cap_checked_before_building(self, monkeypatch, cold_bond_tables):
         import bargmann.chain as chainmod

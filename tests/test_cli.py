@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,6 +235,22 @@ class TestThermo:
         assert cli.main(["thermo", "--spec", spec, "--tmin", "0.1", "--tmax", "10",
                          "--tpoints", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
+    @pytest.mark.parametrize("temp", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("spin,Z,E0", [("1/2", "inf", "-1.00000000000e+00"),
+                                           ("0", "1.00000000000e+00", "0.00000000000e+00")])
+    def test_reciprocal_overflow_takes_zero_temperature_limit(self, tmp_path, capsys, temp,
+                                                             spin, Z, E0):
+        # 1/T is inf: the ground levels weigh 1 and the rest 0, with no NaN row
+        spec = write_spec(tmp_path, spin=spin, n_sites=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["thermo", "--spec", spec, "--temps", temp]) == 0
+        out, err = capsys.readouterr()
+        header, row = out.splitlines()
+        T, z, F, S, E = row.split(",")
+        assert (err, header, T, z, F, E) == ("", "T,Z,F,S,E_mean", f"{float(temp):.11e}", Z, E0, E0)
+        assert math.isfinite(float(S))
 
     def test_nonpositive_temperature_exit_2(self, tmp_path):
         spec = write_spec(tmp_path)

@@ -205,12 +205,15 @@ def test_spectrum_matches_unblocked(spin, n, boundary, mode):
     for k, couplings in enumerate(COUPLINGS):
         spec = ChainSpec(n_sites=n, spin=spin, couplings=couplings, boundary=boundary,
                          hbar=Fraction(2, 3) if k % 2 else 1, mode=mode)
-        plain = eigensolve(chain_matrix(spec), compute_vectors=False)
-        got = solve(spec)
+        M = chain_matrix(spec)
+        plain = eigensolve(M, compute_vectors=False)
         scale = np.abs(plain.eigenvalues).max()
-        assert len(got) == len(plain)
-        assert np.abs(got.eigenvalues - plain.eigenvalues).max() <= 1e-12 * scale, couplings
-        assert got.residual_bound <= 1e-8 * scale * len(got)
+        # `solve` reduces only above UNREDUCED_MAX_DIM; the reduction is checked at every size
+        for got in (solve(spec),
+                    eigensolve(M, compute_vectors=False, reduce=symmetry_reduction(spec))):
+            assert len(got) == len(plain)
+            assert np.abs(got.eigenvalues - plain.eigenvalues).max() <= 1e-12 * scale, couplings
+            assert got.residual_bound <= 1e-8 * scale * len(got)
 
 
 # (n_sites, spin, couplings, boundary, mode): kept dimension, {multiplicity: kept

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from bargmann import thermo
 from bargmann.algebra import MultiIndex, PolynomialState, w_var, z_var
 from bargmann.chain import (
     ChainSpec,
@@ -546,7 +548,8 @@ class TestVectorFree:
             M = chain_matrix(spec)
             want = eigensolve(M, compute_vectors=True).eigenvalues
             scale = np.abs(want).max(initial=0.0)
-            for got in (eigensolve(M, compute_vectors=False), solve(spec)):
+            for got in (eigensolve(M, compute_vectors=False), solve(spec),
+                        eigensolve(M, compute_vectors=False, reduce=symmetry_reduction(spec))):
                 assert np.abs(got.eigenvalues - want).max() <= 1e-12 * scale, couplings
                 assert got.residual_bound <= 1e-12 * scale, couplings
 
@@ -596,11 +599,12 @@ class TestVectorFree:
             return real_eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        # k = 0 and pi of a periodic chain are real, the paired k are not
-        solve(ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic"))
+        # k = 0 and pi of a periodic chain are real, the paired k are not (N = 8:
+        # `solve` reduces only above dimension 128)
+        solve(ChainSpec(n_sites=8, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic"))
         assert set(dtypes) == {np.dtype(float), np.dtype(complex)}
         dtypes.clear()
-        solve(ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3)))
+        solve(ChainSpec(n_sites=8, spin=HALF, couplings=(1.0, 0.7, 0.3)))
         assert set(dtypes) == {np.dtype(float)}
 
     @pytest.mark.parametrize("change", ["one more", "one less", "within a block"])
@@ -680,10 +684,49 @@ class TestPartitionFunction:
         with pytest.raises(ValueError, match="temperature must be finite"):
             partition_function(Spectrum(np.array([0.0, 1.0])), math.inf)
 
+    @pytest.mark.parametrize("T", [1e-310, 5e-324])
+    @pytest.mark.parametrize("levels,Z", [([-1.5, -1.5, 2.0], math.inf), ([0.0, 0.0, 2.0], 2.0),
+                                          ([0.0], 1.0), ([3.0, 3.0, 5.0], 0.0)])
+    def test_zero_temperature_limit_where_reciprocal_overflows(self, T, levels, Z):
+        # weight 1 on the levels at E0 and 0 above; no -inf * 0 NaN, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = partition_function(Spectrum(np.array(levels)), T)
+        assert p.Z == Z
+        assert p.mean_energy == levels[0]
+        assert p.free_energy == pytest.approx(levels[0], abs=1e-300)
+        assert math.isfinite(p.entropy) and p.entropy >= 0
+
 
 class TestThermoSweep:
     def test_empty_grid(self):
         assert thermo_sweep(xxx2_spectrum(), []) == []
+
+    def test_empty_spectrum(self):
+        assert thermo_sweep(Spectrum(np.zeros(0)), []) == []
+        with pytest.raises(ValueError, match="empty spectrum"):
+            thermo_sweep(Spectrum(np.zeros(0)), [1.0])
+        with pytest.raises(ValueError, match="all temperatures must be positive"):
+            thermo_sweep(Spectrum(np.zeros(0)), [-1.0])
+
+    def test_chunks_equal_one_temperature_at_a_time(self, monkeypatch):
+        s = Spectrum(np.sort(np.random.default_rng(5).normal(size=50)))
+        grid = [1e-320, *np.geomspace(1e-3, 1e3, 37)]
+        points = [partition_function(s, T) for T in grid]
+        assert thermo_sweep(s, grid) == points
+        monkeypatch.setattr(thermo, "SWEEP_CHUNK", 120)     # two temperatures at a time
+        assert thermo_sweep(s, grid) == points
+
+    def test_weights_formed_in_chunks(self):
+        # the whole (T, E) array would be 2000 * 8192 floats, 131 MB
+        s = Spectrum(np.linspace(-1.0, 1.0, 8192))
+        tracemalloc.start()
+        try:
+            thermo_sweep(s, np.geomspace(0.1, 10, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_high_t_entropy_is_log_dim(self):
         s = xxx2_spectrum()

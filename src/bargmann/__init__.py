@@ -17,14 +17,12 @@ from .algebra import (
     commutator,
     compose,
     inner_product,
-    matrix_element,
     monomial_norm_sq,
-    normal_order_product,
     single_term,
     w_var,
     z_var,
 )
-from .angular import JmLabel, j_operator, jm_label, multiplet_states, total_operator
+from .angular import j_operator, total_operator
 from .chain import (
     COMPOSITIONAL,
     OPEN,
@@ -48,7 +46,6 @@ from .errors import (
 from .oracle import (
     SpectrumComparison,
     SpinMatrices,
-    basis_isomorphism,
     compare_spectra,
     oracle_hamiltonian,
     spin_matrices,

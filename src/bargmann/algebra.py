@@ -421,9 +421,10 @@ def _sqrt_huge_ratio(num: int, den: int) -> float:
         return math.inf
 
 
-def apply(A: OperatorPolynomial, s: PolynomialState, drop_tol: float = 0.0) -> PolynomialState:
-    """Linear extension of apply_term; amplitudes with |a| <= drop_tol removed
-    (default keeps everything but exact zeros)."""
+def apply(A: OperatorPolynomial, s: PolynomialState) -> PolynomialState:
+    """Linear extension of apply_term; exact zeros are dropped.  Raises
+    AmplitudeOverflow when a summed amplitude is not finite (inf, or the NaN
+    of inf - inf)."""
     out: dict[MultiIndex, complex] = {}
     for m, amp in s.items():
         for t in A.terms():
@@ -432,7 +433,10 @@ def apply(A: OperatorPolynomial, s: PolynomialState, drop_tol: float = 0.0) -> P
                 continue
             m2, a = r
             out[m2] = out.get(m2, 0j) + amp * a
-    return PolynomialState({m: a for m, a in out.items() if abs(a) > drop_tol})
+    for m, a in out.items():
+        if not cmath.isfinite(a):
+            raise AmplitudeOverflow(f"summed amplitude of {m!r} is beyond the float range")
+    return PolynomialState(out)
 
 
 def _term_products(a: OperatorTerm, b: OperatorTerm):
@@ -483,11 +487,6 @@ def _term_products(a: OperatorTerm, b: OperatorTerm):
         yield mult, deriv, coeff * factor
 
 
-def normal_order_product(a: OperatorTerm, b: OperatorTerm) -> OperatorPolynomial:
-    """Product a*b rewritten with all derivatives to the right; exact."""
-    return compose(OperatorPolynomial.from_terms([a]), OperatorPolynomial.from_terms([b]))
-
-
 def compose(A: OperatorPolynomial, B: OperatorPolynomial) -> OperatorPolynomial:
     """Canonical normal-ordered form of the operator product A*B."""
     acc: dict = {}
@@ -507,13 +506,3 @@ def commutator(A: OperatorPolynomial, B: OperatorPolynomial) -> OperatorPolynomi
 def adjoint(A: OperatorPolynomial) -> OperatorPolynomial:
     """Bargmann adjoint: swap multiplications with derivatives, conjugate."""
     return OperatorPolynomial({(d, m): c.conjugate() for (m, d), c in A.items()})
-
-
-def matrix_element(bra: MultiIndex, A: OperatorPolynomial, ket: MultiIndex) -> complex:
-    """<bra|A|ket> between normalized monomials."""
-    total = 0j
-    for t in A.terms():
-        r = apply_term(t, ket)
-        if r is not None and r[0] == bra:
-            total += r[1]
-    return total

@@ -17,9 +17,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .algebra import MultiIndex, w_var, z_var
 from .chain import ChainSpec
-from .errors import DimensionMismatch, SectorViolation
+from .errors import DimensionMismatch
 from .thermo import Spectrum, check_cap
 
 
@@ -86,26 +85,6 @@ def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return H
 
 
-def basis_isomorphism(idx: MultiIndex, s, n_sites: int) -> int:
-    """Row index of the tensor-product state matching a sector monomial,
-    under the per-site m = -s..+s ordering (site 0 slowest)."""
-    sf = Fraction(s)
-    twos = int(2 * sf)
-    seen = 0
-    out = 0
-    for site in range(n_sites):
-        a = idx.get(z_var(site))
-        b = idx.get(w_var(site))
-        if a + b != twos:
-            raise SectorViolation(
-                f"site {site}: alpha+beta = {a + b}, expected {twos}")
-        seen += (a > 0) + (b > 0)
-        out = out * (twos + 1) + a
-    if seen != len(idx):
-        raise SectorViolation("monomial uses variables outside the chain's sites")
-    return out
-
-
 @dataclass(frozen=True)
 class SpectrumComparison:
     dimension: int
@@ -114,14 +93,6 @@ class SpectrumComparison:
     bound: float  # tol * max(1, max |lambda|): the largest diff that passes
     passed: bool
     worst: tuple  # (index, a, b, |a-b|) sorted by diff descending
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status}: max |diff| = {self.max_abs_diff:.3e} (bound {self.bound:.3e} "
-                 f"from tol {self.tol:.3e}, dim {self.dimension})"]
-        for idx, a, b, dd in self.worst:
-            lines.append(f"  [{idx}] {a:+.12e} vs {b:+.12e}  |diff| = {dd:.3e}")
-        return "\n".join(lines)
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumComparison:

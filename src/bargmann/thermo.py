@@ -110,31 +110,6 @@ class SectorMatrix:
         return A
 
 
-def _triplets(H) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Dimension and the (rows, cols, values) of H's nonzero entries.
-
-    Entries come in row-major order, values as complex128: a `SectorMatrix`
-    passes through, and any other H is read as a dense array, giving what
-    `np.nonzero` finds (a -0.0 is a zero like any other).  The shape and the
-    dimension cap are checked before anything of size n^2 is touched; any
-    entry that is inf or NaN is rejected.
-    """
-    if not isinstance(H, SectorMatrix):
-        H = np.asarray(H)
-    if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    n = H.shape[0]
-    check_cap(n)
-    if isinstance(H, SectorMatrix):
-        rows, cols, vals = H.rows, H.cols, H.vals
-    else:
-        rows, cols = np.nonzero(H)
-        vals = H[rows, cols].astype(np.complex128, copy=False)
-    if not np.isfinite(vals).all():
-        raise ValueError("matrix entries must be finite")
-    return n, rows, cols, vals
-
-
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Label each of the n indices by the smallest index of its connected
     component in the undirected graph with edges (rows[k], cols[k]).
@@ -166,9 +141,28 @@ def _blocks(lab: np.ndarray, cplx: np.ndarray) -> list[tuple[np.ndarray, bool]]:
 
 def _gated(H):
     """H's nonzero triplets (n, rows, cols, vals) and its scale max|H|, after
-    the checks of `eigensolve`.  `vals` are float64 when the imaginary part
-    of H is exactly zero, complex128 otherwise."""
-    n, rows, cols, vals = _triplets(H)
+    the checks of `eigensolve`.
+
+    Entries come in row-major order: a `SectorMatrix` passes through, and any
+    other H is read as a dense array, giving what `np.nonzero` finds (a -0.0
+    is a zero like any other).  The shape and the dimension cap are checked
+    before anything of size n^2 is touched; any entry that is inf or NaN is
+    rejected.  `vals` are float64 when the imaginary part of H is exactly
+    zero, complex128 otherwise.
+    """
+    if not isinstance(H, SectorMatrix):
+        H = np.asarray(H)
+    if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    n = H.shape[0]
+    check_cap(n)
+    if isinstance(H, SectorMatrix):
+        rows, cols, vals = H.rows, H.cols, H.vals
+    else:
+        rows, cols = np.nonzero(H)
+        vals = H[rows, cols].astype(np.complex128, copy=False)
+    if not np.isfinite(vals).all():
+        raise ValueError("matrix entries must be finite")
     if not vals.imag.any():
         vals = np.ascontiguousarray(vals.real)
     keys, mirror = rows * n + cols, cols * n + rows
@@ -345,10 +339,6 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
     """Z, F, S, <E> at a positive, finite temperature T: `thermo_sweep` at T."""
-    if not T > 0:
-        raise ValueError("temperature must be positive")
-    if math.isinf(T):
-        raise ValueError("temperature must be finite")
     return thermo_sweep(spec, [T])[0]
 
 

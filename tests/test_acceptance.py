@@ -22,11 +22,10 @@ from bargmann.algebra import (
     RationalComplex,
     apply,
     commutator,
-    matrix_element,
     w_var,
     z_var,
 )
-from bargmann.angular import j_operator, jm_label, multiplet_states, total_operator
+from bargmann.angular import j_operator, total_operator
 from bargmann.chain import (
     OPEN,
     PERIODIC,
@@ -35,7 +34,7 @@ from bargmann.chain import (
     solve,
 )
 from bargmann.dsl import ParseError, format_operator, parse
-from bargmann.oracle import basis_isomorphism, compare_spectra, oracle_hamiltonian
+from bargmann.oracle import compare_spectra, oracle_hamiltonian
 from bargmann.oscillator import (
     COSH,
     EXP,
@@ -78,8 +77,8 @@ def test_criterion_02_matrix_element_closed_forms():
     ops = {k: j_operator(0, k) for k in ("x", "y", "z", "+", "-", "squared")}
 
     def elem(op, ap, bp, a, b):
-        return matrix_element(MultiIndex({Z0: ap, W0: bp}), op,
-                              MultiIndex({Z0: a, W0: b}))
+        out = apply(op, PolynomialState.monomial({Z0: a, W0: b}))
+        return out.get(MultiIndex({Z0: ap, W0: bp}))
 
     for a in range(9):
         for b in range(9):
@@ -106,7 +105,7 @@ def test_criterion_03_oscillator_spectrum_and_sums():
     H = hamiltonian(spec)
     for n in range(21):
         ket = MultiIndex({Z0: n}) if n else MultiIndex()
-        got = matrix_element(ket, H, ket)
+        got = apply(H, PolynomialState.monomial(ket)).get(ket)
         assert abs(got - (n + 0.5)) <= 1e-12 * (n + 0.5)
     xi = PolynomialState.monomial({Z0: 1}, -1.0)
     out = apply(H, xi)
@@ -121,13 +120,16 @@ def test_criterion_03_oscillator_spectrum_and_sums():
     _report(3, "oscillator eigenvalues n<=20 and exact per-term sums")
 
 
-def test_criterion_04_j1_multiplet():
-    states = multiplet_states(1)
-    assert states == [MultiIndex({Z0: 2}), MultiIndex({Z0: 1, W0: 1}), MultiIndex({W0: 2})]
-    ms = [jm_label(m.get(Z0), m.get(W0)).m for m in states]
-    assert ms == [1, 0, -1]
-    assert all(jm_label(m.get(Z0), m.get(W0)).j == 1 for m in states)
-    _report(4, "j=1 multiplet {z^2/sqrt2, zw, w^2/sqrt2} with m = {1,0,-1}")
+def test_criterion_04_j1_multiplet(tmp_path, capsys):
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"n_sites": 1, "spin": "1", "jx": 1, "jy": 1, "jz": 1}))
+    assert cli.main(["basis", "--spec", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0: w[0]^2 | (j=1, m=-1) | total_m = -1",
+        "1: z[0] * w[0] | (j=1, m=0) | total_m = 0",
+        "2: z[0]^2 | (j=1, m=1) | total_m = 1",
+    ]
+    _report(4, "j=1 multiplet {w^2/sqrt2, zw, z^2/sqrt2} listed by `basis` with m = {-1,0,1}")
 
 
 def _spectra_pair(spec: ChainSpec):
@@ -172,12 +174,7 @@ def test_criterion_06_entrywise_agreement():
     for s in (Fraction(1, 2), Fraction(1)):
         spec = ChainSpec(n_sites=2, spin=s, couplings=(0.9, -1.4, 0.6))
         M = chain_matrix(spec).toarray()
-        Ho = oracle_hamiltonian(spec)
-        perm = [basis_isomorphism(m, s, 2) for m in states(spec)]
-        P = np.zeros_like(Ho)
-        for i, p in enumerate(perm):
-            P[p, i] = 1.0
-        assert np.abs(P @ M @ P.T - Ho).max() <= 1e-10
+        assert np.abs(M - oracle_hamiltonian(spec)).max() <= 1e-10
     _report(6, "entry-wise sector/oracle agreement, N=2, s in {1/2, 1}")
 
 

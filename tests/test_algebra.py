@@ -19,9 +19,7 @@ from bargmann.algebra import (
     commutator,
     compose,
     inner_product,
-    matrix_element,
     monomial_norm_sq,
-    normal_order_product,
     single_term,
     w_var,
     z_var,
@@ -188,29 +186,31 @@ class TestApply:
         assert len(out) == 1
 
     def test_drop_tolerance(self):
+        # only exact zeros are dropped: a 1e-14 amplitude stays, an exact cancellation goes
         s = f_state(1, 0, 1.0) + f_state(0, 1, 1e-14)
-        ident = OperatorPolynomial.identity()
-        assert len(apply(ident, s)) == 2
-        assert len(apply(ident, s, drop_tol=1e-12)) == 1
+        out = apply(OperatorPolynomial.identity(), s)
+        assert len(out) == 2 and out.get(MultiIndex({W0: 1})) == 1e-14
+        number_difference = single_term(1, {Z0: 1}, {Z0: 1}) - single_term(1, {W0: 1}, {W0: 1})
+        assert apply(number_difference, f_state(1, 1) + f_state(2, 0, 1e-14)) == f_state(2, 0, 2e-14)
 
 
 class TestNormalOrderProduct:
     def test_fundamental_commutation(self):
-        dz = OperatorTerm(RationalComplex(1), EMPTY_INDEX, MultiIndex({Z0: 1}))
-        z = OperatorTerm(RationalComplex(1), MultiIndex({Z0: 1}), EMPTY_INDEX)
-        got = normal_order_product(dz, z)
+        dz = single_term(1, {}, {Z0: 1})
+        z = single_term(1, {Z0: 1}, {})
+        got = compose(dz, z)
         expected = single_term(1, {Z0: 1}, {Z0: 1}) + OperatorPolynomial.identity()
         assert got == expected
 
     def test_commuting_multiplications(self):
-        z = OperatorTerm(RationalComplex(1), MultiIndex({Z0: 1}), EMPTY_INDEX)
-        assert normal_order_product(z, z) == single_term(1, {Z0: 2}, {})
+        z = single_term(1, {Z0: 1}, {})
+        assert compose(z, z) == single_term(1, {Z0: 2}, {})
 
     def test_second_derivative_past_z(self):
         # d^2/dz^2 z = z d^2/dz^2 + 2 d/dz, checked by exact action on z^n
         dz2 = OperatorTerm(RationalComplex(1), EMPTY_INDEX, MultiIndex({Z0: 2}))
         z = OperatorTerm(RationalComplex(1), MultiIndex({Z0: 1}), EMPTY_INDEX)
-        got = normal_order_product(dz2, z)
+        got = compose(OperatorPolynomial.from_terms([dz2]), OperatorPolynomial.from_terms([z]))
         assert got == single_term(1, {Z0: 1}, {Z0: 2}) + single_term(2, {}, {Z0: 1})
         for n in range(6):
             _assert_product_matches_sequential(dz2, z, {Z0: n})
@@ -222,8 +222,8 @@ class TestNormalOrderProduct:
 
 
 def _assert_product_matches_sequential(a, b, exps):
-    """normal_order_product(a, b) acting on an unnormalized monomial must
-    equal acting with b then a, in exact rational arithmetic."""
+    """The normal-ordered product a*b (`compose`) acting on an unnormalized
+    monomial must equal acting with b then a, in exact rational arithmetic."""
     inner = act_unnormalized(b, exps)
     expected = None
     if inner is not None:
@@ -235,7 +235,8 @@ def _assert_product_matches_sequential(a, b, exps):
             expected = (MultiIndex(out_exps), c) if c else None
 
     got: dict[MultiIndex, RationalComplex] = {}
-    for t in normal_order_product(a, b).terms():
+    for t in compose(OperatorPolynomial.from_terms([a]),
+                     OperatorPolynomial.from_terms([b])).terms():
         r = act_unnormalized(t, exps)
         if r is None:
             continue
@@ -359,16 +360,16 @@ class TestMatrixElement:
             for beta in range(1, 4):
                 bra = MultiIndex({Z0: alpha + 1, W0: beta - 1})
                 ket = MultiIndex({Z0: alpha, W0: beta})
-                got = matrix_element(bra, jp, ket)
+                got = apply(jp, PolynomialState.monomial(ket)).get(bra)
                 assert got == pytest.approx(math.sqrt((alpha + 1) * beta), rel=1e-12)
 
     def test_diagonal_operator_off_diagonal_zero(self):
-        assert matrix_element(MultiIndex({Z0: 1}), j_operator(0, "z"),
-                              MultiIndex({W0: 1})) == 0
+        out = apply(j_operator(0, "z"), PolynomialState.monomial({W0: 1}))
+        assert out.get(MultiIndex({Z0: 1})) == 0
 
     def test_j1_element(self):
-        got = matrix_element(MultiIndex({Z0: 2}), j_operator(0, "x"),
-                             MultiIndex({Z0: 1, W0: 1}))
+        out = apply(j_operator(0, "x"), PolynomialState.monomial({Z0: 1, W0: 1}))
+        got = out.get(MultiIndex({Z0: 2}))
         assert got == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
 
     @given(multiindices(max_exponent=4, max_vars=2),
@@ -376,7 +377,7 @@ class TestMatrixElement:
            multiindices(max_exponent=4, max_vars=2))
     @settings(max_examples=100)
     def test_agrees_with_apply_inner_product(self, bra, A, ket):
-        direct = matrix_element(bra, A, ket)
+        direct = apply(A, PolynomialState.monomial(ket)).get(bra)
         via_state = inner_product(PolynomialState.monomial(bra),
                                   apply(A, PolynomialState.monomial(ket)))
         scale = max(1.0, abs(direct), abs(via_state))

@@ -1,11 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 
+from bargmann import cli
 from bargmann.algebra import (
     MultiIndex,
     OperatorPolynomial,
@@ -15,12 +15,11 @@ from bargmann.algebra import (
     apply,
     commutator,
     compose,
-    matrix_element,
     single_term,
     w_var,
     z_var,
 )
-from bargmann.angular import JmLabel, j_operator, jm_label, multiplet_states, total_operator
+from bargmann.angular import j_operator, total_operator
 from bargmann.chain import ChainSpec
 
 from reference import reference_assemble
@@ -30,11 +29,12 @@ I = RationalComplex(0, 1)
 
 
 def test_kind_aliases():
-    assert j_operator(0, "Plus") == j_operator(0, "+")
-    assert j_operator(0, "MINUS") == j_operator(0, "-")
-    assert j_operator(0, "Squared") == j_operator(0, "2")
-    with pytest.raises(ValueError):
-        j_operator(0, "q")
+    # exactly x, y, z, +, -, squared: no alias spellings, no case folding
+    for kind in ("plus", "Squared", "2", "q"):
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            j_operator(0, kind)
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            total_operator(kind, [0, 1])
 
 
 def test_z_on_spin_up():
@@ -92,7 +92,8 @@ class TestClosedFormMatrixElements:
 
     @staticmethod
     def _elem(op, ap, bp, a, b):
-        return matrix_element(MultiIndex({Z0: ap, W0: bp}), op, MultiIndex({Z0: a, W0: b}))
+        out = apply(op, PolynomialState.monomial({Z0: a, W0: b}))
+        return out.get(MultiIndex({Z0: ap, W0: bp}))
 
     def test_j3_diagonal(self):
         op = j_operator(0, "z")
@@ -146,7 +147,7 @@ class TestTotalOperator:
         op = total_operator("z", [0, 1, 2])
         m = MultiIndex({z_var(0): 2, w_var(0): 1, z_var(1): 1, w_var(2): 3})
         alpha, beta = 3, 4
-        got = matrix_element(m, op, m)
+        got = apply(op, PolynomialState.monomial(m)).get(m)
         assert got == pytest.approx((alpha - beta) / 2, rel=1e-14)
 
     def test_total_commutators_exact(self):
@@ -178,33 +179,51 @@ class TestTotalOperator:
         assert np.allclose(want, [0.0, 2.0, 2.0, 2.0], atol=1e-12)
 
 
+def _basis_lines(tmp_path, capsys, spin, n_sites=1):
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"n_sites": n_sites, "spin": spin, "jx": 1, "jy": 1, "jz": 1}))
+    assert cli.main(["basis", "--spec", str(p)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out.splitlines()
+
+
 class TestJmLabels:
-    def test_examples(self):
-        assert jm_label(1, 0) == JmLabel(Fraction(1, 2), Fraction(1, 2))
-        assert jm_label(0, 0) == JmLabel(0, 0)
-        assert jm_label(0, 2) == JmLabel(1, -1)
+    """The (j, m) labels, which `bargmann basis` lists: z^a w^(2j-a) is
+    |j, m = a - j>, in ascending m."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            jm_label(-1, 0)
-        with pytest.raises(ValueError):
-            JmLabel(Fraction(1, 2), 1)
-        with pytest.raises(ValueError):
-            JmLabel(1, Fraction(1, 2))  # parity mismatch
+    def test_examples(self, tmp_path, capsys):
+        assert _basis_lines(tmp_path, capsys, "1/2") == [
+            "0: w[0] | (j=1/2, m=-1/2) | total_m = -1/2",
+            "1: z[0] | (j=1/2, m=1/2) | total_m = 1/2",
+        ]
+        assert _basis_lines(tmp_path, capsys, "0") == ["0: 1 | (j=0, m=0) | total_m = 0"]
+        assert _basis_lines(tmp_path, capsys, "1")[0] == "0: w[0]^2 | (j=1, m=-1) | total_m = -1"
 
-    def test_multiplet_examples(self):
-        assert multiplet_states(Fraction(1, 2)) == [MultiIndex({Z0: 1}), MultiIndex({W0: 1})]
-        assert multiplet_states(0) == [MultiIndex()]
-        assert multiplet_states(1) == [MultiIndex({Z0: 2}),
-                                       MultiIndex({Z0: 1, W0: 1}),
-                                       MultiIndex({W0: 2})]
+    @pytest.mark.parametrize("spin", ["-1/2", "1/3", "0.3"])
+    def test_validation(self, tmp_path, capsys, spin):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"n_sites": 1, "spin": spin, "jx": 1, "jy": 1, "jz": 1}))
+        assert cli.main(["basis", "--spec", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
-    @given(st.integers(0, 8))
-    def test_roundtrip(self, twoj):
-        j = Fraction(twoj, 2)
-        states = multiplet_states(j)
-        assert len(states) == twoj + 1
-        for k, m in enumerate(states):
-            label = jm_label(m.get(Z0), m.get(W0))
-            assert label.j == j
-            assert label.m == j - k  # descending from j to -j
+    def test_multiplet_examples(self, tmp_path, capsys):
+        assert _basis_lines(tmp_path, capsys, "1/2", n_sites=2) == [
+            "0: w[0] * w[1] | (j=1/2, m=-1/2) (j=1/2, m=-1/2) | total_m = -1",
+            "1: w[0] * z[1] | (j=1/2, m=-1/2) (j=1/2, m=1/2) | total_m = 0",
+            "2: z[0] * w[1] | (j=1/2, m=1/2) (j=1/2, m=-1/2) | total_m = 0",
+            "3: z[0] * z[1] | (j=1/2, m=1/2) (j=1/2, m=1/2) | total_m = 1",
+        ]
+
+    def test_roundtrip(self, tmp_path, capsys):
+        for twoj in range(9):
+            j = Fraction(twoj, 2)
+            lines = _basis_lines(tmp_path, capsys, str(j))
+            assert len(lines) == twoj + 1
+            for k, line in enumerate(lines):
+                m = j - (twoj - k)  # ascending from -j to j
+                z = {0: "", 1: "z[0]"}.get(k, f"z[0]^{k}")
+                w = {0: "", 1: "w[0]"}.get(twoj - k, f"w[0]^{twoj - k}")
+                monomial = " * ".join(f for f in (z, w) if f) or "1"
+                assert line == f"{k}: {monomial} | (j={j}, m={m}) | total_m = {m}"

@@ -11,10 +11,11 @@ import hypothesis.strategies as st
 from bargmann.algebra import (
     MultiIndex,
     OperatorPolynomial,
+    PolynomialState,
     adjoint,
+    apply,
     commutator,
     compose,
-    matrix_element,
     single_term,
     w_var,
     z_var,
@@ -236,7 +237,7 @@ class TestSectorMatrix:
         H = build_hamiltonian(spec)
         M = chain_matrix(spec).toarray()
         for r, c in itertools.product(range(spec.dimension()), repeat=2):
-            want = matrix_element(states(spec)[r], H, states(spec)[c])
+            want = apply(H, PolynomialState.monomial(states(spec)[c])).get(states(spec)[r])
             assert abs(M[r, c] - want) <= 1e-13
 
     def test_hermitian_to_tolerance(self):

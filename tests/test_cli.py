@@ -426,6 +426,17 @@ class TestApply:
         assert cli.main(["apply", "--operator", "(2^64)^64 * z[0]", "--state", state]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", [
+        [{"monomial": "z[0]", "re": 1e300}],                                      # inf
+        [{"monomial": "z[0]", "re": 1e300}, {"monomial": "w[0]", "re": -1e300}],  # inf - inf
+    ])
+    def test_summed_amplitude_overflow_exit_2(self, tmp_path, capsys, entries):
+        # each term's amplitude is 1e10; amplitude times it, and the sum, are not finite
+        state = write_state(tmp_path, entries)
+        op = "10000000000 * z[0]*dz[0] + 10000000000 * z[0]*dw[0]"
+        assert cli.main(["apply", "--operator", op, "--state", state]) == 2
+        assert capsys.readouterr() == (
+            "", "error: summed amplitude of MultiIndex(z[0]^1) is beyond the float range\n")
 
     def test_hbar_with_zero_denominator_exit_2(self, tmp_path, capsys):
         state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])

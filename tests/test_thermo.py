@@ -31,8 +31,8 @@ from bargmann.thermo import (
     Spectrum,
     _certificate,
     _components,
+    _gated,
     _sq_sum,
-    _triplets,
     _unit,
     eigensolve,
     husimi_q,
@@ -187,7 +187,7 @@ class TestBlockedEigensolve:
 
     def test_block_counts(self):
         def count(H):
-            n, rows, cols, _ = _triplets(H)
+            n, rows, cols, _, _ = _gated(H)
             return len(np.unique(_components(rows, cols, n)))
 
         xyz = _chain_matrix(6, Fraction(1, 2), (1, -0.9, 0.5), "periodic")
@@ -681,7 +681,7 @@ class TestPartitionFunction:
             partition_function(Spectrum(np.array([0.0])), 0.0)
 
     def test_infinite_temperature(self):
-        with pytest.raises(ValueError, match="temperature must be finite"):
+        with pytest.raises(ValueError, match="temperatures must be finite"):
             partition_function(Spectrum(np.array([0.0, 1.0])), math.inf)
 
     @pytest.mark.parametrize("T", [1e-310, 5e-324])

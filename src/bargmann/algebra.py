@@ -108,9 +108,6 @@ class RationalComplex:
         return f"RationalComplex({self.re}, {self.im})"
 
 
-RC_ZERO = RationalComplex()
-
-
 class MultiIndex:
     """Map from variables to positive exponents; zeros are never stored.
 
@@ -244,9 +241,6 @@ class OperatorPolynomial:
             cache = tuple(OperatorTerm(c, m, d) for (m, d), c in self._terms.items())
             object.__setattr__(self, "_term_cache", cache)
         return cache
-
-    def coefficient(self, mult: MultiIndex, deriv: MultiIndex) -> RationalComplex:
-        return self._terms.get((mult, deriv), RC_ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms

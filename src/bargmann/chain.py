@@ -204,23 +204,6 @@ def _check_sector_preserving(H: OperatorPolynomial):
                 f"term does not conserve per-site boson number at sites {sorted(bad)}")
 
 
-def _invariance_deviation(M: SectorMatrix, g: np.ndarray) -> float:
-    """max over all (r, c) of |M(g r, g c) - M(r, c)| for the index permutation
-    g, from one search of M's permuted row-major keys among its own."""
-    if not M.nnz:
-        return 0.0
-    keys = M.rows * M.n + M.cols
-    moved = g[M.rows] * M.n + g[M.cols]
-    at = np.minimum(np.searchsorted(keys, moved), M.nnz - 1)
-    hit = keys[at] == moved
-    dev = np.abs(M.vals - np.where(hit, M.vals[at], 0)).max()
-    if not hit.all():     # entries (g r, g c) of M whose (r, c) is not stored
-        missed = np.ones(M.nnz, dtype=bool)
-        missed[at[hit]] = False
-        dev = max(dev, np.abs(M.vals[missed]).max())
-    return float(dev)
-
-
 def symmetry_blocks(M: SectorMatrix, generators, parity=None) -> tuple[SectorMatrix, np.ndarray]:
     """M in symmetry-adapted states of commuting index permutations, one
     block per kept character, and the multiplicity of each kept index.
@@ -330,19 +313,18 @@ def symmetry_reduction(spec: ChainSpec):
         generators = []
         if spec.boundary == PERIODIC:
             T = r // d + r % d * d ** (n_sites - 1)
-            dev = _invariance_deviation(M, T)
+            dev = M.deviation(T[M.rows], T[M.cols])
             if dev > tol:
                 raise RuntimeError(f"sector matrix is not translation invariant: "
-                                   f"max |M(Tr, Tc) - M(r, c)| = {dev:.3e} on max |M| = "
-                                   f"{scale:.3e}")
+                                   f"max |M(Tr, Tc) - M(r, c)| / max |M| = {dev / scale:.3e}")
             generators.append((T, n_sites))
         else:
             R = digits @ d ** np.arange(n_sites)
-            if _invariance_deviation(M, R) <= tol:
+            if M.deviation(R[M.rows], R[M.cols]) <= tol:
                 generators.append((R, 2))
         P = r[::-1]
         parity = None
-        if _invariance_deviation(M, P) <= tol:
+        if M.deviation(P[M.rows], P[M.cols]) <= tol:
             generators.append((P, 2))
             if (d - 1) * n_sites % 2:
                 parity = digits.sum(axis=1) % 2

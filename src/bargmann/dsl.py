@@ -266,12 +266,8 @@ def parse(text: str, hbar=1) -> OperatorPolynomial:
     return out
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)  # "3", "-3", or "3/2"
-
-
 def _coeff_str(c: RationalComplex) -> str:
-    return f"({_frac_str(c.re)},{_frac_str(c.im)})"
+    return f"({c.re!s},{c.im!s})"
 
 
 def format_monomial(m: MultiIndex) -> str:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import PolynomialState, Var, monomial_norm_sq
-from .errors import DimensionTooLarge, NotHermitian, NotNormalized
+from .errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, NotNormalized
 
 MAX_DENSE_DIM = 8192
 HERMITICITY_TOL = 1e-10
@@ -72,8 +72,9 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class SectorMatrix:
-    """An n x n matrix as its nonzero entries: `rows`, `cols` and complex128
-    `vals`, in row-major order, one entry per (row, col)."""
+    """An n x n matrix as its nonzero entries: `rows`, `cols` and `vals`
+    (complex128, or float64 when every value is real), in row-major order,
+    one entry per (row, col)."""
 
     n: int
     rows: np.ndarray
@@ -108,6 +109,24 @@ class SectorMatrix:
         A = np.zeros(self.shape, dtype=np.complex128)
         A[self.rows, self.cols] = self.vals
         return A
+
+    def deviation(self, rows: np.ndarray, cols: np.ndarray, conj: bool = False) -> float:
+        """max over all (r, c) of |M(r, c) - M(f(r, c))|, M(f(r, c)) conjugated
+        with `conj`, for a permutation f of the index pairs given at the
+        stored entries as (rows, cols).  Each mapped row-major key is looked
+        up among M's own, a missing partner counting as 0."""
+        if not self.nnz:
+            return 0.0
+        keys, moved = self.rows * self.n + self.cols, rows * self.n + cols
+        at = np.minimum(np.searchsorted(keys, moved), self.nnz - 1)
+        hit = keys[at] == moved
+        partner = np.where(hit, self.vals[at], 0)
+        dev = np.abs(self.vals - (partner.conj() if conj else partner)).max()
+        if not hit.all():     # stored entries M(f(r, c)) whose (r, c) is not stored
+            missed = np.ones(self.nnz, dtype=bool)
+            missed[at[hit]] = False
+            dev = max(dev, np.abs(self.vals[missed]).max())
+        return float(dev)
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -165,22 +184,12 @@ def _gated(H):
         raise ValueError("matrix entries must be finite")
     if not vals.imag.any():
         vals = np.ascontiguousarray(vals.real)
-    keys, mirror = rows * n + cols, cols * n + rows
-    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
-    partner = np.where(keys[at] == mirror, vals[at], 0)
-    dev = np.abs(vals - partner.conj()).max(initial=0.0)
+    dev = SectorMatrix(n, rows, cols, vals).deviation(cols, rows, conj=True)
     scale = np.abs(vals).max(initial=0.0)
     if dev > HERMITICITY_TOL * max(1.0, scale):
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
                            f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
     return n, rows, cols, vals, scale
-
-
-def _unit(scale: float) -> float:
-    """The largest power of two <= scale, raised to 2**-1022 for a subnormal
-    scale so its reciprocal is finite; 1 for 0.  Dividing by it is exact and
-    brings entries of magnitude <= scale into [0, 2), where squares cannot overflow."""
-    return math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022)) if scale else 1.0
 
 
 def _sq_sum(x: np.ndarray, subscripts: str) -> np.ndarray:
@@ -189,17 +198,18 @@ def _sq_sum(x: np.ndarray, subscripts: str) -> np.ndarray:
     return out + np.einsum(subscripts, x.imag, x.imag) if np.iscomplexobj(x) else out
 
 
-def _certificate(w: np.ndarray, trace, fro2, unit: float) -> float:
+def _certificate(w: np.ndarray, trace, fro2) -> float:
     """The eigenvalues `w` (last axis) against the trace and the squared
-    Frobenius norm of their matrix, all in units of `unit`: the largest of
-    c1 = |sum w - trace| and c2 = |sum w^2 - fro2| / (2 sqrt(fro2)), c2 = 0
-    for a zero matrix, in absolute units.  Both are invariant under any
-    unitary similarity, and one eigenvalue moved by d gives c1 = d."""
+    Frobenius norm of their matrix: the largest of c1 = |sum w - trace| and
+    c2 = |sum w^2 - fro2| / (2 sqrt(fro2)), c2 = 0 for a zero matrix.  Both
+    are invariant under any unitary similarity, and one eigenvalue moved by
+    d gives c1 = d.  The matrix is at the scale of `eigensolve` (max|H| in
+    [1, 4)), where the squares can neither overflow nor underflow."""
     c1 = np.abs(w.sum(axis=-1) - trace)
     fro = np.sqrt(fro2)
     c2 = np.divide(np.abs((w * w).sum(axis=-1) - fro2), 2 * fro,
                    out=np.zeros_like(fro), where=fro > 0)
-    return float(np.maximum(c1, c2).max(initial=0.0)) * unit
+    return float(np.maximum(c1, c2).max(initial=0.0))
 
 
 def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -212,7 +222,8 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     bound.  With vectors, each stack goes through one batched `eigh` and the
     bound is the largest residual ||B v - lambda v||; without, through
     `eigvalsh`, the eigenvectors are None and the bound is the largest
-    `_certificate` of a block."""
+    `_certificate` of a block.  Values and bound are at the caller's scale;
+    no block is scaled again."""
     lab = _components(rows, cols, n)
     cplx = np.zeros(n, dtype=bool)
     if np.iscomplexobj(vals):
@@ -223,7 +234,6 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         group[idx] = g
         block[idx] = np.arange(len(idx))[:, None]
         within[idx] = np.arange(idx.shape[1])
-    unit = None if compute_vectors else _unit(np.abs(vals).max(initial=0.0))
     groups = []
     bound = 0.0
     for g, (idx, is_complex) in enumerate(blocks):
@@ -237,9 +247,8 @@ def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
             bound = max(bound, float(residual.max()))
         else:
             w, V = np.linalg.eigvalsh(B), None
-            B /= unit
-            bound = max(bound, _certificate(w / unit, np.trace(B, axis1=1, axis2=2).real,
-                                            _sq_sum(B, "kij,kij->k"), unit))
+            bound = max(bound, _certificate(w, np.trace(B, axis1=1, axis2=2).real,
+                                            _sq_sum(B, "kij,kij->k")))
         groups.append((idx, w, V))
     return groups, bound
 
@@ -259,6 +268,16 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     is formed unless eigenvectors are asked for.  Eigenvalues are merged
     with a stable sort; eigenvectors are returned in the original basis order.
 
+    Everything after the gates runs at one scale: the checked triplets are
+    multiplied once by 2**-k, the even k that puts max|H| * 2**-k in [1, 4),
+    with `np.ldexp` on real and imaginary parts apart, which is exact.
+    LAPACK, both bounds, the cap and `reduce` see that matrix, and the
+    eigenvalues, the bound and the numbers of an error message are scaled
+    back by 2**k once, at the end.  Squares of entries then cannot overflow,
+    nor those near max|H| underflow, and eigensolve(H * 2**j) is eigensolve(H) scaled by 2**j, bit
+    for bit, for every even j with H * 2**j exact (an odd j hands LAPACK
+    the same matrix doubled or halved).
+
     With `compute_vectors`, each stack goes through a batched `eigh`, and
     `residual_bound` is the largest ||H v - lambda v|| over all eigenpairs,
     which equals the per-block value because H is zero between blocks.
@@ -269,7 +288,8 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     are invariant under unitary similarity, and one eigenvalue moved by d
     gives c1 = d.
 
-    `reduce(M)`, if given, maps the checked H (as a `SectorMatrix`) to a pair
+    `reduce(M)`, if given, maps the checked H * 2**-k (as a `SectorMatrix`,
+    with float64 values when H is real) to a pair
     (K, mult): a Hermitian `SectorMatrix` K and an integer multiplicity for
     each of its indices, equal within each block of K and summing to the
     dimension of H.  H must be unitarily equivalent to the
@@ -284,25 +304,18 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     DimensionTooLarge beyond `check_cap` (checked first), NotHermitian when
     max|H - H^dag| > 1e-10 * max(1, max|H|) entry-wise, and RuntimeError when
     the multiplicities break the contract above, or the residual or the
-    certificate exceeds 1e-8 * max|H| * dim.
+    certificate exceeds 1e-8 * max|H| * dim.  Raises AmplitudeOverflow when an
+    eigenvalue, scaled back, is beyond the float range.
     """
     n, rows, cols, vals, scale = _gated(H)
-    # H with max|H| subnormal is solved as H * 2**e, exactly, with max|H| * 2**e
-    # in [1/2, 1): no step rounds on the subnormal grid and the cap below is
-    # not 0.  Eigenvalues and bound are scaled back at the end.
-    e = -math.frexp(scale)[1] if 0 < scale < np.finfo(float).tiny else 0
-    if e:
-        scale = math.ldexp(scale, e)
-        vals = (np.ldexp(vals.real, e) + 1j * np.ldexp(vals.imag, e)
-                if np.iscomplexobj(vals) else np.ldexp(vals, e))
-    if not compute_vectors:
-        unit = _unit(scale)
-        v = vals / unit
-        moments = v[rows == cols].real.sum(), _sq_sum(v, "i,i")
+    # k even, so that LAPACK's square roots of entries round as they do on H
+    k = 2 * ((math.frexp(scale)[1] - 1) // 2)
+    vals = (np.ldexp(vals.real, -k) + 1j * np.ldexp(vals.imag, -k)
+            if np.iscomplexobj(vals) else np.ldexp(vals, -k))
     if reduce is not None:
         if compute_vectors:
             raise ValueError("eigenvectors are not available for a reduced matrix")
-        K, mult = reduce(SectorMatrix(n, rows, cols, vals.astype(np.complex128, copy=False)))
+        K, mult = reduce(SectorMatrix(n, rows, cols, vals))
         groups, bound = _block_eigh(K.n, K.rows, K.cols, K.vals, compute_vectors)
         repeats = [mult[idx] for idx, _, _ in groups]
         flat = np.repeat(np.concatenate([w.ravel() for _, w, _ in groups]),
@@ -318,11 +331,16 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     what = "eigendecomposition residual"
     if not compute_vectors:
         what = "eigenvalue moment certificate"
-        bound = max(bound, _certificate(eigenvalues / unit, *moments, unit))
-    cap = RESIDUAL_FACTOR * scale * n
+        bound = max(bound, _certificate(eigenvalues, vals[rows == cols].real.sum(),
+                                        _sq_sum(vals, "i,i")))
+    cap = RESIDUAL_FACTOR * math.ldexp(scale, -k) * n
     if bound > cap:
-        raise RuntimeError(f"{what} {math.ldexp(bound, -e):.3e} exceeds "
-                           f"{math.ldexp(cap, -e):.3e}")
+        raise RuntimeError(f"{what} {math.ldexp(bound, k):.3e} exceeds "
+                           f"{math.ldexp(cap, k):.3e}")
+    with np.errstate(over="ignore"):
+        eigenvalues = np.ldexp(eigenvalues, k)
+    if np.isinf(eigenvalues).any():
+        raise AmplitudeOverflow("an eigenvalue is beyond the float range")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -333,8 +351,8 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
             pos = rank[start:start + idx.size].reshape(idx.shape)
             evecs[idx[:, :, None], pos[:, None, :]] = V
             start += idx.size
-    return Spectrum(eigenvalues=np.ldexp(eigenvalues, -e), eigenvectors=evecs,
-                    residual_bound=math.ldexp(bound, -e))
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=evecs,
+                    residual_bound=math.ldexp(bound, k))
 
 
 def partition_function(spec: Spectrum, T: float) -> ThermoPoint:

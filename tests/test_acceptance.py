@@ -12,12 +12,10 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from bargmann import cli
 from bargmann.algebra import (
     MultiIndex,
-    OperatorPolynomial,
     PolynomialState,
     RationalComplex,
     apply,
@@ -46,7 +44,6 @@ from bargmann.oscillator import (
 from bargmann.thermo import Spectrum, eigensolve, husimi_q, partition_function, thermo_sweep
 
 from conftest import operator_polys
-from reference import states
 
 Z0, W0 = z_var(0), w_var(0)
 

@@ -8,7 +8,6 @@ import pytest
 from bargmann import cli
 from bargmann.algebra import (
     MultiIndex,
-    OperatorPolynomial,
     PolynomialState,
     RationalComplex,
     adjoint,

@@ -130,6 +130,14 @@ class TestDiag:
         assert cli.main(["diag", "--spec", spec, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["residual_bound"] >= 0
 
+    def test_eigenvalue_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # every entry is finite, the ground level -4 J is not
+        spec = write_spec(tmp_path, n_sites=4, boundary="periodic", jx=1e308, jy=1e308, jz=1e308)
+        assert cli.main(["diag", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: an eigenvalue is beyond the float range\n"
+
     def test_dimension_cap_exit_3(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, n_sites=16)
         assert cli.main(["diag", "--spec", spec]) == 3

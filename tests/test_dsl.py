@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from bargmann.algebra import (
     MultiIndex,

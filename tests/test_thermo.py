@@ -22,7 +22,7 @@ from bargmann.chain import (
     symmetry_reduction,
 )
 from bargmann.dsl import parse
-from bargmann.errors import DimensionTooLarge, NotHermitian, NotNormalized
+from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, NotNormalized
 from bargmann.thermo import (
     HERMITICITY_TOL,
     MAX_DENSE_DIM,
@@ -33,7 +33,6 @@ from bargmann.thermo import (
     _components,
     _gated,
     _sq_sum,
-    _unit,
     eigensolve,
     husimi_q,
     partition_function,
@@ -46,6 +45,16 @@ from bargmann.thermo import (
 from reference import as_sector_matrix, reference_assemble
 
 Z0 = z_var(0)
+
+
+def solver_exponent(scale):
+    """The even k with scale * 2**-k in [1, 4): `eigensolve` hands LAPACK H * 2**-k."""
+    return 2 * ((math.frexp(scale)[1] - 1) // 2)
+
+
+def _ldexp(H, j):
+    """H * 2**j, on real and imaginary parts apart."""
+    return np.ldexp(H.real, j) + 1j * np.ldexp(H.imag, j) if np.iscomplexobj(H) else np.ldexp(H, j)
 
 
 def xxx2_spectrum():
@@ -82,7 +91,7 @@ class TestEigensolve:
     @pytest.mark.parametrize("vectors", [False, True])
     def test_subnormal_scale_keeps_a_nonzero_cap(self, vectors):
         # 1e-8 * max|H| * n underflows to 0 here, and |x| rounds on the
-        # subnormal grid; H * 2**e has neither problem
+        # subnormal grid; H * 2**-k has neither problem
         x = 3e-320 + 1e-320j
         s = eigensolve(np.array([[0, x], [np.conj(x), 0]]), compute_vectors=vectors)
         assert s.eigenvalues == pytest.approx([-abs(x), abs(x)], rel=0, abs=1e-323)
@@ -90,11 +99,16 @@ class TestEigensolve:
     @pytest.mark.parametrize("vectors", [False, True])
     def test_subnormal_one_sided_entry_fails_the_cap(self, vectors):
         # within the absolute Hermiticity gate but not a Hermitian matrix at
-        # its own scale: both bounds see it, as for 1e-11 in place of 1e-320
-        # (the residual norm used to underflow to 0)
-        for x in (1e-11, 1e-320):
+        # its own scale: both bounds see it, as for 1e-11 in place of 3e-301
+        # or 1e-320 (the residual norm of the unscaled matrix underflows to 0)
+        for x in (1e-11, 3e-301, 1e-320):
             with pytest.raises(RuntimeError, match="exceeds"):
                 eigensolve(np.array([[0, x], [0, 0]]), compute_vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_eigenvalue_beyond_float_range(self, vectors):
+        with pytest.raises(AmplitudeOverflow, match="an eigenvalue is beyond the float range"):
+            eigensolve(np.full((2, 2), 1.5e308), compute_vectors=vectors)
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("BARGMANN_MAX_DIM", "4")
@@ -247,11 +261,13 @@ class TestBlockedGates:
 
     def test_residual_cap_uses_full_dimension_and_scale(self, monkeypatch):
         # eight 1x1 blocks; the cap is 1e-8 * 100 * 8 = 8e-6, while any one
-        # block's own size and entry would give at most 1e-6
+        # block's own size and entry would give at most 1e-6; the faults are
+        # injected where LAPACK sees H * 2**-6
         H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
-        self._shifted_eigh(monkeypatch, 5e-6)
+        assert solver_exponent(100.0) == 6
+        self._shifted_eigh(monkeypatch, math.ldexp(5e-6, -6))
         assert eigensolve(H).residual_bound == pytest.approx(5e-6)
-        self._shifted_eigh(monkeypatch, 1e-5)
+        self._shifted_eigh(monkeypatch, math.ldexp(1e-5, -6))
         with pytest.raises(RuntimeError, match="exceeds 8.000e-06"):
             eigensolve(H)
 
@@ -272,9 +288,9 @@ def _reference_components(A):
 def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     """The dense front end that the triplet front end replaced: H is made a
     dense complex array, checked and labelled entry-wise, and each block is
-    gathered from it.  The eigensolves, the checks' thresholds and the merge
-    are the same; without eigenvectors, each block is certified by its
-    moments, and so is A against all of its eigenvalues."""
+    gathered from it.  The scale, the eigensolves, the checks' thresholds
+    and the merge are the same; without eigenvectors, each block is
+    certified by its moments, and so is A against all of its eigenvalues."""
     if hasattr(H, "toarray"):
         H = H.toarray()
     A = np.asarray(H, dtype=np.complex128)
@@ -290,11 +306,8 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     if dev > HERMITICITY_TOL * max(1.0, scale):
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
                            f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
-    e = -math.frexp(scale)[1] if 0 < scale < np.finfo(float).tiny else 0
-    if e:    # a subnormal max|A|: solved as A * 2**e, then scaled back
-        scale = math.ldexp(scale, e)
-        A = np.ldexp(A.real, e) + 1j * np.ldexp(A.imag, e) if np.iscomplexobj(A) else np.ldexp(A, e)
-    unit = _unit(scale)
+    k = solver_exponent(scale)    # solved as A * 2**-k, then scaled back
+    A = _ldexp(A, -k)
     lab = _reference_components(A)
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
@@ -318,9 +331,8 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
             bound = max(bound, float(residual.max()))
         else:
             w, V = np.linalg.eigvalsh(B), None
-            B = B / unit
-            bound = max(bound, _certificate(w / unit, np.trace(B, axis1=1, axis2=2).real,
-                                            _sq_sum(B, "kij,kij->k"), unit))
+            bound = max(bound, _certificate(w, np.trace(B, axis1=1, axis2=2).real,
+                                            _sq_sum(B, "kij,kij->k")))
         groups.append((idx, w, V))
     flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
     order = np.argsort(flat, kind="stable")
@@ -328,12 +340,11 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
     if not compute_vectors:
         what = "eigenvalue moment certificate"
         r, c = np.nonzero(A)
-        v = A[r, c] / unit
-        bound = max(bound, _certificate(flat[order] / unit, v[r == c].real.sum(),
-                                        _sq_sum(v, "i,i"), unit))
-    cap = RESIDUAL_FACTOR * scale * n
+        v = A[r, c]
+        bound = max(bound, _certificate(flat[order], v[r == c].real.sum(), _sq_sum(v, "i,i")))
+    cap = RESIDUAL_FACTOR * math.ldexp(scale, -k) * n
     if bound > cap:
-        raise RuntimeError(f"{what} {math.ldexp(bound, -e):.3e} exceeds {math.ldexp(cap, -e):.3e}")
+        raise RuntimeError(f"{what} {math.ldexp(bound, k):.3e} exceeds {math.ldexp(cap, k):.3e}")
     evecs = None
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
@@ -344,8 +355,8 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
             pos = rank[start:start + idx.size].reshape(idx.shape)
             evecs[idx[:, :, None], pos[:, None, :]] = V
             start += idx.size
-    return Spectrum(eigenvalues=np.ldexp(flat[order], -e), eigenvectors=evecs,
-                    residual_bound=math.ldexp(bound, -e))
+    return Spectrum(eigenvalues=np.ldexp(flat[order], k), eigenvectors=evecs,
+                    residual_bound=math.ldexp(bound, k))
 
 
 def _outcome(solver, H, vectors, max_dim):
@@ -452,7 +463,7 @@ class TestTripletFrontEnd:
 
     def test_residual_cap_message(self, monkeypatch):
         H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
-        TestBlockedGates()._shifted_eigh(monkeypatch, 1e-5)
+        TestBlockedGates()._shifted_eigh(monkeypatch, math.ldexp(1e-5, -solver_exponent(100.0)))
         for form in _forms(H).values():
             assert_same_as_reference(form)
 
@@ -555,22 +566,26 @@ class TestVectorFree:
 
     def test_certificate_cap_uses_full_dimension_and_scale(self, monkeypatch):
         # eight 1x1 blocks; the cap is 1e-8 * 100 * 8 = 8e-6, and one eigenvalue
-        # moved by d gives a certificate of d
+        # moved by d gives a certificate of d; the faults are injected where
+        # LAPACK sees H * 2**-6
         H = np.diag([100.0, 1, 1, 1, 1, 1, 1, 1])
-        _shift_one_eigenvalue(monkeypatch, 5e-6)
+        _shift_one_eigenvalue(monkeypatch, math.ldexp(5e-6, -6))
         assert eigensolve(H, compute_vectors=False).residual_bound == pytest.approx(5e-6)
-        _shift_one_eigenvalue(monkeypatch, 1e-5)
+        _shift_one_eigenvalue(monkeypatch, math.ldexp(1e-5, -6))
         with pytest.raises(RuntimeError, match="certificate .* exceeds 8.000e-06"):
             eigensolve(H, compute_vectors=False)
 
     def test_shifted_chain_solve(self, monkeypatch):
         spec = ChainSpec(n_sites=6, spin=HALF, couplings=(1.0, 0.7, 0.3), boundary="periodic")
         M = chain_matrix(spec)
-        cap = RESIDUAL_FACTOR * np.abs(M.vals).max() * M.n
-        # one eigenvalue moves per stack, and the certificate on M sums them
-        _shift_one_eigenvalue(monkeypatch, 0.01 * cap)
+        scale = np.abs(M.vals).max()
+        cap = RESIDUAL_FACTOR * scale * M.n
+        # one eigenvalue moves per stack, and the certificate on M sums them;
+        # the shifts are made where LAPACK sees M * 2**-k
+        k = solver_exponent(scale)
+        _shift_one_eigenvalue(monkeypatch, math.ldexp(0.01 * cap, -k))
         assert 0.01 * cap <= solve(spec).residual_bound <= cap
-        _shift_one_eigenvalue(monkeypatch, 2 * cap)
+        _shift_one_eigenvalue(monkeypatch, math.ldexp(2 * cap, -k))
         with pytest.raises(RuntimeError, match="exceeds"):
             solve(spec)
 
@@ -627,15 +642,52 @@ class TestVectorFree:
         with pytest.raises(RuntimeError, match="multiplicities"):
             eigensolve(M, compute_vectors=False, reduce=wrong)
 
-    @pytest.mark.parametrize("factor", [1e-300, 1e300])
-    def test_certificate_at_extreme_scales(self, factor):
-        # squared entries beyond the float range would make the moments inf
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("factor", [1e-300, 1e200, 1e300])
+    def test_certificate_at_extreme_scales(self, factor, vectors):
+        # squared entries beyond the float range would make the moments or
+        # the residual norms inf, or 0: at 1e200 the residual norm of the
+        # unscaled matrix is already inf
         H = _random_hermitian(12)
-        want = eigensolve(H, compute_vectors=False)
-        got = eigensolve(factor * H, compute_vectors=False)
+        want = eigensolve(H, compute_vectors=vectors)
+        got = eigensolve(factor * H, compute_vectors=vectors)
         scale = factor * np.abs(want.eigenvalues).max()
         assert np.abs(got.eigenvalues - factor * want.eigenvalues).max() <= 1e-12 * scale
         assert 0 <= got.residual_bound <= 1e-12 * scale
+
+
+@st.composite
+def scalable_hermitian(draw):
+    """A Hermitian H, real or complex, with blocks of zeros, whose nonzero
+    parts lie in [2**-20, 8] in magnitude, so H * 2**j is exact for
+    |j| <= 1000; and such a j."""
+    n = draw(st.integers(1, 10))
+    part = st.just(0.0) | st.floats(-8, 8).filter(lambda x: abs(x) >= 2 ** -20)
+    real = draw(st.booleans())
+    H = np.zeros((n, n), dtype=float if real else complex)
+    for r, c in itertools.combinations_with_replacement(range(n), 2):
+        x = complex(draw(part), 0.0 if real or r == c else draw(part))
+        H[r, c], H[c, r] = (x.real, x.real) if real else (x, x.conjugate())
+    return H, draw(st.integers(-1000, 1000))
+
+
+class TestScaleEquivariance:
+    """`eigensolve` runs at one scale, so it commutes with powers of two."""
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @given(case=scalable_hermitian())
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, case, vectors):
+        H, j = case
+        Hj = _ldexp(H, j)
+        assert np.array_equal(_ldexp(Hj, -j), H)
+        want, got = eigensolve(H, compute_vectors=vectors), eigensolve(Hj, compute_vectors=vectors)
+        assert np.array_equal(got.eigenvalues, np.ldexp(want.eigenvalues, j))
+        assert got.residual_bound == math.ldexp(want.residual_bound, j)
+        if vectors:
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        else:
+            assert got.eigenvectors is None
 
 
 class TestPartitionFunction:

@@ -10,7 +10,8 @@ either compositionally from per-site generators (the reference construction)
 or from a verbatim hand-expanded form kept for diagnostic comparison
 ("paper_literal" mode, whose z-coupling line merges two cross terms).  `solve`
 does not build the whole-chain polynomial: it places the sector matrices of
-the bond, cached per (2s, hbar, mode), on every bond.
+the bond, cached per (2s, hbar, mode), on every bond, and does the index work
+of the sector matrix, its gates and its symmetry blocks once per chain shape.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .algebra import (
 )
 from .angular import j_operator
 from .errors import AmplitudeOverflow, SectorViolation
-from .thermo import SectorMatrix, Spectrum, check_cap, eigensolve
+from .thermo import Pattern, SectorMatrix, Spectrum, check_cap, eigensolve, sum_at
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -102,10 +103,7 @@ class ChainSpec:
             raise ValueError("hbar must be positive")
 
     def bonds(self) -> list[tuple[int, int]]:
-        out = [(i, i + 1) for i in range(self.n_sites - 1)]
-        if self.boundary == PERIODIC:
-            out.append((self.n_sites - 1, 0))
-        return out
+        return bond_list(self.n_sites, self.boundary)
 
     def dimension(self) -> int:
         return int(2 * self.spin + 1) ** self.n_sites
@@ -126,6 +124,14 @@ class ChainSpec:
     def from_file(cls, path) -> "ChainSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def bond_list(n_sites: int, boundary: str) -> list[tuple[int, int]]:
+    """The bonds (i, i + 1), and (n_sites - 1, 0) on a periodic chain."""
+    out = [(i, i + 1) for i in range(n_sites - 1)]
+    if boundary == PERIODIC:
+        out.append((n_sites - 1, 0))
+    return out
 
 
 def check_dimension(spec: ChainSpec):
@@ -204,17 +210,101 @@ def _check_sector_preserving(H: OperatorPolynomial):
                 f"term does not conserve per-site boson number at sites {sorted(bad)}")
 
 
-def symmetry_blocks(M: SectorMatrix, generators, parity=None) -> tuple[SectorMatrix, np.ndarray]:
-    """M in symmetry-adapted states of commuting index permutations, one
-    block per kept character, and the multiplicity of each kept index.
+class SymmetryTables:
+    """The pattern step of `symmetry_blocks`: everything it reads of M's
+    `pattern`, of commuting index permutations `generators` and of `parity`,
+    and nothing of M's values.
 
-    `generators` are (g, o) pairs: g an index map g[r] that leaves M invariant,
-    o its order.  They generate the abelian group of elements
-    e = g_1^l_1 ... g_k^l_k, whose characters are
-    chi_m(e) = exp(2 pi i sum_j m_j l_j / o_j), exact at quarter turns.  The
-    representative a of an orbit is its smallest index, S_a its stabilizer,
-    and r = e_r^-1 a for one element e_r per index r.  For each character that
-    is 1 on S_a the normalized state |a(m)> ~ sum_e chi_m(e) e|a> gives
+    `generators` are (g, o) pairs: g an index map g[r], o its order.  They
+    generate the abelian group of elements e = g_1^l_1 ... g_k^l_k, whose
+    characters are chi_m(e) = exp(2 pi i sum_j m_j l_j / o_j), exact at
+    quarter turns.  The representative a of an orbit is its smallest
+    index, S_a its stabilizer, and r = e_r^-1 a for one element e_r per
+    index r.  The tables hold the group's characters, the orbits, the
+    entries (r, b) of the pattern in representative columns b with their
+    factors sqrt(|S_a| / |S_b|), the pairings of `symmetry_blocks`, and, per
+    set of kept characters (`gather`), where each entry's terms go in K and
+    K's own `Pattern`.  `parity` (0 or 1 per index, or None) enters only
+    through the pairing rule.  Index maps are int32 and the character of a
+    term is stored as its number of turns.
+    """
+
+    def __init__(self, pattern: Pattern, generators, parity=None):
+        n = pattern.n
+        orders = [o for _, o in generators]
+        images = np.arange(n)[None]          # images[e, r] = e(r), element e in l order
+        for g, o in generators:
+            powers = [images]
+            for _ in range(1, o):
+                powers.append(g[powers[-1]])
+            images = np.stack(powers, axis=1).reshape(-1, n)
+        self.n, self.size = n, len(images)
+        exps = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+        self.exps = exps.reshape(self.size, len(orders))
+        turns = math.lcm(*orders)
+        self.t = (self.exps * (turns // np.array(orders, dtype=np.int64))) @ self.exps.T % turns
+        root = np.exp(2j * np.pi * np.arange(turns) / turns)     # chi_m(e) = root[t[m, e]]
+        quarter = np.arange(turns) * 4 % turns == 0
+        root[quarter] = np.array([1, 1j, -1, -1j])[np.arange(turns)[quarter] * 4 // turns]
+        self.root = root
+        rep = images.min(axis=0)
+        to_rep = images.argmin(axis=0)        # e_r, with e_r(r) = rep[r]
+        stab = (images == np.arange(n)).sum(axis=0)
+        self.reps = np.flatnonzero(rep == np.arange(n))
+        # chi_m has a state on the orbit of a iff it is 1 on S_a: its sum over S_a is |S_a|, else 0
+        self.compat = np.abs(root[self.t] @ (images[:, self.reps] == self.reps)
+                             - stab[self.reps]) < 0.5
+        stride = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+        self.conj = (-self.exps % np.array(orders, dtype=np.int64)) @ np.array(stride, dtype=np.int64)
+        self.flip = self.breaking = None
+        if parity is not None:
+            flips = [(parity[g] != parity).all() for g, _ in generators]
+            keeps = [(parity[g] == parity).all() for g, _ in generators]
+            j = flips.index(True) if sum(flips) == 1 else None
+            if j is not None and orders[j] == 2 and all(f or k for f, k in zip(flips, keeps)):
+                self.flip = j
+                self.breaking = np.flatnonzero(parity[pattern.rows] != parity[pattern.cols])
+        hit = np.flatnonzero(rep[pattern.cols] == pattern.cols)
+        b, r = pattern.cols[hit], pattern.rows[hit]
+        a = rep[r]
+        self.hit = hit.astype(np.int32)
+        self.factor = np.sqrt(stab[a] / stab[b])
+        self._a, self._b, self._to_rep = (x.astype(np.int32) for x in (a, b, to_rep[r]))
+        self._gathers = {}
+
+    def gather(self, chars: np.ndarray):
+        """For the kept characters `chars` (ascending): K's `Pattern`, the
+        character of each kept index, and the maps that sum the terms into
+        K and K into its Hermitian average (see `symmetry_blocks`)."""
+        key = chars.tobytes()
+        if key not in self._gathers:
+            which, kept = np.nonzero(self.compat[chars])
+            pos = np.full((len(chars), self.n), -1, dtype=np.int64)   # K index of (character, rep)
+            pos[which, self.reps[kept]] = np.arange(len(kept))
+            krow, kcol = pos[:, self._a], pos[:, self._b]
+            char, term = np.nonzero((krow >= 0) & (kcol >= 0))
+            n = len(kept)
+            keys, sums = np.unique(krow[char, term] * n + kcol[char, term], return_inverse=True)
+            both, mirror = np.unique(np.concatenate([keys, keys % n * n + keys // n]),
+                                     return_inverse=True)
+            turn = self.t[chars[char], self._to_rep[term]]
+            pattern = Pattern(n, *(x.astype(np.int32) for x in np.divmod(both, n)))
+            for a in (pattern.rows, pattern.cols):
+                a.flags.writeable = False
+            self._gathers[key] = (pattern, which, term.astype(np.int32),
+                                  turn.astype(np.min_scalar_type(len(self.root) - 1)),
+                                  sums.astype(np.int32), len(keys), mirror.astype(np.int32))
+        return self._gathers[key]
+
+
+def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatrix, np.ndarray]:
+    """M in symmetry-adapted states of commuting index permutations, one
+    block per kept character, and the multiplicity of each kept index: the
+    value step, on the `SymmetryTables` of M's pattern, of the generators
+    (each leaving M invariant) and of the parity.
+
+    For each character that is 1 on S_a the normalized state
+    |a(m)> ~ sum_e chi_m(e) e|a> gives
 
         K[a(m), b(m)] = sum over r of M[r, b] chi_m(e_r) sqrt(|S_a| / |S_b|),
 
@@ -223,68 +313,49 @@ def symmetry_blocks(M: SectorMatrix, generators, parity=None) -> tuple[SectorMat
     exponent slowest), then by representative, ascending; each block has the
     size (1/|G|) sum_e chi_m(e) fix(e).  K is summed first and then averaged
     with its mirror, K <- (K + K^dag)/2, so it is Hermitian by construction.
+    Its entries are those the pattern of M can reach, terms that cancel
+    kept as stored zeros.
 
     Of two blocks with the same spectrum one is kept, its multiplicity
     doubled, under each of two rules:
     - for a real M, the block of chi_m and of its conjugate, which are
       complex conjugates of each other (k and -k for a translation);
-    - with `parity` (0 or 1 per index), when M conserves it on its nonzero
-      pattern, one generator of order 2 flips it at every index and the
-      others keep it: U = (-1)^parity then commutes with M and maps that
-      generator's odd block onto its even block, which is kept.
+    - with a parity, when M conserves it on its nonzero entries, one
+      generator of order 2 flips it at every index and the others keep it:
+      U = (-1)^parity then commutes with M and maps that generator's odd
+      block onto its even block, which is kept.
     The multiplicities sum to M.n.
     """
-    n = M.n
-    orders = [o for _, o in generators]
-    images = np.arange(n)[None]          # images[e, r] = e(r), element e in l order
-    for g, o in generators:
-        powers = [images]
-        for _ in range(1, o):
-            powers.append(g[powers[-1]])
-        images = np.stack(powers, axis=1).reshape(-1, n)
-    size = len(images)
-    exps = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
-    exps = exps.reshape(size, len(orders))
-    turns = math.lcm(*orders)
-    t = (exps * (turns // np.array(orders, dtype=np.int64))) @ exps.T % turns
-    root = np.exp(2j * np.pi * np.arange(turns) / turns)     # chi_m(e) = root[t[m, e]]
-    quarter = np.arange(turns) * 4 % turns == 0
-    root[quarter] = np.array([1, 1j, -1, -1j])[np.arange(turns)[quarter] * 4 // turns]
-    rep = images.min(axis=0)
-    to_rep = images.argmin(axis=0)        # e_r, with e_r(r) = rep[r]
-    stab = (images == np.arange(n)).sum(axis=0)
-    reps = np.flatnonzero(rep == np.arange(n))
-    # chi_m has a state on the orbit of a iff it is 1 on S_a: its sum over S_a is |S_a|, else 0
-    compat = np.abs(root[t] @ (images[:, reps] == reps) - stab[reps]) < 0.5
-
-    mult = np.ones(size, dtype=np.int64)
+    t = tables
+    mult = np.ones(t.size, dtype=np.int64)
     if not M.vals.imag.any():
-        stride = [math.prod(orders[j + 1:]) for j in range(len(orders))]
-        conj = (-exps % np.array(orders, dtype=np.int64)) @ np.array(stride, dtype=np.int64)
-        mult = np.where(conj < np.arange(size), 0, np.where(conj > np.arange(size), 2, 1))
-    if parity is not None and np.array_equal(parity[M.rows], parity[M.cols]):
-        flips = [(parity[g] != parity).all() for g, _ in generators]
-        keeps = [(parity[g] == parity).all() for g, _ in generators]
-        j = flips.index(True) if sum(flips) == 1 else None
-        if j is not None and orders[j] == 2 and all(f or k for f, k in zip(flips, keeps)):
-            mult = np.where(exps[:, j] == 0, 2 * mult, 0)
-
+        here = np.arange(t.size)
+        mult = np.where(t.conj < here, 0, np.where(t.conj > here, 2, 1))
+    if t.flip is not None and not M.vals[t.breaking].any():
+        mult = np.where(t.exps[:, t.flip] == 0, 2 * mult, 0)
     chars = np.flatnonzero(mult)
-    which, kept = np.nonzero(compat[chars])
-    pos = np.full((len(chars), n), -1, dtype=np.int64)   # K index of (kept character, rep)
-    pos[which, reps[kept]] = np.arange(len(kept))
-    hit = rep[M.cols] == M.cols
-    b, r = M.cols[hit], M.rows[hit]
-    a = rep[r]
-    v = M.vals[hit] * np.sqrt(stab[a] / stab[b])
-    krow, kcol = pos[:, a], pos[:, b]
-    keep = (krow >= 0) & (kcol >= 0)
-    phase = root[t[chars][:, to_rep[r]]]
-    K = SectorMatrix.from_triplets(len(kept), krow[keep], kcol[keep], (v * phase)[keep])
-    K = SectorMatrix.from_triplets(K.n, np.concatenate([K.rows, K.cols]),
-                                   np.concatenate([K.cols, K.rows]),
-                                   np.concatenate([K.vals, K.vals.conj()]) / 2)
-    return K, mult[chars][which]
+    pattern, which, term, turn, sums, n_sums, mirror = t.gather(chars)
+    v = M.vals[t.hit] * t.factor
+    K = sum_at(sums, v[term] * t.root[turn], n_sums)
+    K = sum_at(mirror, np.concatenate([K, K.conj()]) / 2, len(pattern.rows))
+    return pattern.matrix(K), mult[chars][which]
+
+
+def _symmetry_maps(d: int, n_sites: int, boundary: str):
+    """The index maps of a chain's symmetries on its sector, (name, map,
+    order) each: translation T on a periodic chain or reflection R on an
+    open one, then the flip P; a map that is the identity is left out.
+    With them, the parity of the digit sum when (d - 1) n_sites is odd,
+    else None."""
+    r = np.arange(d ** n_sites)
+    digits = r[:, None] // d ** np.arange(n_sites - 1, -1, -1) % d
+    if boundary == PERIODIC:
+        maps = [("T", r // d + r % d * d ** (n_sites - 1), n_sites)]
+    else:
+        maps = [("R", digits @ d ** np.arange(n_sites), 2)]
+    maps.append(("P", r[::-1], 2))
+    parity = digits.sum(axis=1) % 2 if (d - 1) * n_sites % 2 else None
+    return [m for m in maps if (m[1] != r).any()], parity
 
 
 def symmetry_reduction(spec: ChainSpec):
@@ -301,37 +372,32 @@ def symmetry_reduction(spec: ChainSpec):
     - A generator that is the identity map is dropped.
     Invariance means max|M(gr, gc) - M(r, c)| <= 1e-12 max|M|.
 
+    The maps, their partner maps and the `SymmetryTables` are kept on M's
+    `pattern`, keyed by name: the matrices of one chain shape share the
+    pattern of `chain_matrix`, so each call after the first reads only M's
+    values.
+
     Raises RuntimeError when a periodic chain's M is not translation invariant.
     """
-    d, n_sites = int(2 * spec.spin) + 1, spec.n_sites
+    shape = (int(2 * spec.spin) + 1, spec.n_sites, spec.boundary)
 
     def reduce(M: SectorMatrix):
-        r = np.arange(M.n)
-        digits = r[:, None] // d ** np.arange(n_sites - 1, -1, -1) % d
+        maps, parity = M.pattern.memo("maps", lambda: _symmetry_maps(*shape))
         scale = np.abs(M.vals).max(initial=0.0)
         tol = INVARIANCE_TOL * scale
         generators = []
-        if spec.boundary == PERIODIC:
-            T = r // d + r % d * d ** (n_sites - 1)
-            dev = M.deviation(T[M.rows], T[M.cols])
-            if dev > tol:
+        for name, g, order in maps:
+            dev = M.deviation(M.pattern.memo(
+                name, lambda g=g: M.pattern.partners(g[M.rows], g[M.cols])))
+            if name == "T" and dev > tol:
                 raise RuntimeError(f"sector matrix is not translation invariant: "
                                    f"max |M(Tr, Tc) - M(r, c)| / max |M| = {dev / scale:.3e}")
-            generators.append((T, n_sites))
-        else:
-            R = digits @ d ** np.arange(n_sites)
-            if M.deviation(R[M.rows], R[M.cols]) <= tol:
-                generators.append((R, 2))
-        P = r[::-1]
-        parity = None
-        if M.deviation(P[M.rows], P[M.cols]) <= tol:
-            generators.append((P, 2))
-            if (d - 1) * n_sites % 2:
-                parity = digits.sum(axis=1) % 2
-        # an identity map (T, R and P at dimension 1, R at one site) splits nothing,
-        # and would only multiply the group's size
-        generators = [(g, o) for g, o in generators if (g != r).any()]
-        return symmetry_blocks(M, generators, parity)
+            if dev <= tol:
+                generators.append((name, g, order))
+        names = tuple(name for name, _, _ in generators)
+        tables = M.pattern.memo(names, lambda: SymmetryTables(
+            M.pattern, [(g, o) for _, g, o in generators], parity if "P" in names else None))
+        return symmetry_blocks(M, tables)
 
     return reduce
 
@@ -371,20 +437,61 @@ def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ..
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=32)
+def _placements(twos: int, n_sites: int, boundary: str, h_keys: bytes):
+    """The pattern step of `chain_matrix`: the `Pattern` of a chain's sector
+    matrix M and where each placement of the bond matrix h goes in it, for
+    h with these row-major keys (int64) and no coupling, hbar or mode value.
+
+    h's entry (a_i d + a_j, b_i d + b_j) is placed on every bond (i, j) at
+    every (row, col) pair of states with digits a_i, a_j and b_i, b_j at
+    sites i and j and equal digits elsewhere.  The placements are ordered
+    (bond in `bond_list` order, entry of h, state), and M's pattern is
+    their union.  Cached per process, one pattern per chain shape; the
+    pattern keeps the index work of `eigensolve` and `symmetry_reduction`.
+    The arrays are read-only.
+    """
+    d = twos + 1
+    dim, dd = d ** n_sites, d * d
+    bonds = bond_list(n_sites, boundary)
+    h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
+    rows = cols = np.zeros(0, dtype=np.int64)
+    if bonds and len(h_rows):
+        i, j = np.array(bonds).T
+        place = d ** np.arange(n_sites - 1, -1, -1)      # index weight of each site's digit
+        digits = np.arange(dim)[:, None] // place % d
+        # per bond, the states with digit 0 at both of its sites, ascending
+        base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
+        base = base.reshape(len(bonds), 1, dim // dd)
+
+        def shift(local):      # (bond, entry) -> index offset of the local digits
+            return local // d * place[i][:, None] + local % d * place[j][:, None]
+
+        rows = (base + shift(h_rows)[:, :, None]).ravel()
+        cols = (base + shift(h_cols)[:, :, None]).ravel()
+    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    pattern = Pattern(dim, *(x.astype(np.int32) for x in np.divmod(keys, dim)))
+    at = at.astype(np.int32)
+    for a in (pattern.rows, pattern.cols, at):
+        a.flags.writeable = False
+    return pattern, at
+
+
 def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     """The chain's sector matrix: the matrix of `build_hamiltonian(spec)` up
     to rounding, without building the whole-chain polynomial.
 
     The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`) is
-    placed on every bond (i, j): its entry (a_i d + a_j, b_i d + b_j) goes to
-    every (row, col) pair of states with digits a_i, a_j and b_i, b_j at
-    sites i and j and equal digits elsewhere.  The contributions to an entry
-    are summed in `spec.bonds()` order.
+    placed on every bond (`_placements`, whose index work is done once per
+    chain shape and nonzero pattern of h), and the contributions to an
+    entry are summed in `spec.bonds()` order.  The values are float64 when h
+    is real.  The entries are the union of the placements, so one where the
+    contributions cancel is a stored zero; the matrix carries the shape's
+    `pattern`, which `solve` reuses on every call.
 
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
     d, n = int(2 * spec.spin) + 1, spec.n_sites
-    dim = d ** n
     bonds = spec.bonds()
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.complex128))]
@@ -394,23 +501,10 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
             parts += [(T.rows, T.cols, J * T.vals)
                       for J, T in zip(spec.couplings, tables) if J != 0.0]
     h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
-    rows, cols, vals = parts[0]
-    if h.nnz:
-        i, j = np.array(bonds).T
-        place = d ** np.arange(n - 1, -1, -1)      # index weight of each site's digit
-        digits = np.arange(dim)[:, None] // place % d
-        # per bond, the states with digit 0 at both of its sites, ascending
-        base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
-        shape = (len(bonds), h.nnz, dim // (d * d))      # (bond, entry of h, base state)
-        base = base.reshape(shape[0], 1, shape[2])
-
-        def shift(local):      # (bond, entry) -> index offset of the local digits
-            return local // d * place[i][:, None] + local % d * place[j][:, None]
-
-        rows = (base + shift(h.rows)[:, :, None]).ravel()
-        cols = (base + shift(h.cols)[:, :, None]).ravel()
-        vals = np.broadcast_to(h.vals[:, None], shape).ravel()
-    M = SectorMatrix.from_triplets(dim, rows, cols, vals)
+    pattern, at = _placements(d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
+    h_vals = h.vals if h.vals.imag.any() else h.vals.real
+    placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, pattern.n // (d * d)))
+    M = pattern.matrix(sum_at(at, placed.ravel(), len(pattern.rows)))
     if not np.isfinite(M.vals).all():
         raise AmplitudeOverflow("a summed matrix element is beyond the float range")
     return M
@@ -423,6 +517,18 @@ def solve(spec: ChainSpec) -> Spectrum:
     (`symmetry_reduction`), each block of a set with equal spectra once; a
     smaller one is solved unreduced, in the blocks of its nonzero pattern
     alone.  The checks of `eigensolve` run on the sector matrix either way.
+
+    The index work depends only on the chain's shape: 2s, n_sites, the
+    boundary and the nonzero pattern of the bond matrix h, never on a
+    coupling, hbar or mode value.  The first solve of a shape does it and
+    keeps it on the shape's `Pattern` (`_placements`, at most 32 shapes per
+    process): M's pattern and the sum map of the placements, the partner
+    maps of the Hermiticity and symmetry gates, the `SymmetryTables`, the
+    maps into K and the block layouts.  Every call then computes values
+    alone, in the same order, so its result is the same to the bit, and
+    runs every gate on its own values.  The saving is for a process that
+    solves one shape again (a coupling scan, `verify --random-trials`); a
+    process that solves once pays the index work once, as it always did.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,16 +70,89 @@ class ThermoPoint:
     mean_energy: float
 
 
+class Pattern:
+    """The entries (rows, cols) of an n x n matrix, sorted row-major with one
+    entry per (row, col), and the index work read from them: done on first
+    use and kept, so every matrix on one pattern reuses it.  `chain.solve`
+    keeps one pattern per chain shape; any other `SectorMatrix` gets its own.
+
+    - `matrix(vals)`: the `SectorMatrix` of these values on the pattern;
+    - `mirror` and `partners`: the partner maps of `SectorMatrix.deviation`;
+    - `layout`: the blocks of `_block_eigh`, for the nonzero and complex
+      entries of the last matrix that asked (one layout is kept);
+    - `memo(key, build)`: build() once per key; `mirror` and
+      `chain.symmetry_reduction` keep their maps and tables here, by name.
+    Index maps are int32, so a pattern holds fewer than 2**31 entries."""
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
+        self.n, self.rows, self.cols = n, rows, cols
+        self._memo = {}
+        self._layout = None
+
+    def matrix(self, vals: np.ndarray) -> "SectorMatrix":
+        """The `SectorMatrix` with `vals` at the pattern's entries, which
+        reuses the pattern's index work."""
+        M = SectorMatrix(self.n, self.rows, self.cols, vals)
+        object.__setattr__(M, "pattern", self)
+        return M
+
+    def memo(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def partners(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pattern step of `SectorMatrix.deviation` for a permutation f of
+        the index pairs, given at the entries as (rows, cols): the position
+        of each entry's image f(r, c), nnz where it is not an entry, and the
+        positions of the entries that are no entry's image.  Each mapped
+        row-major key is looked up among the pattern's own."""
+        nnz = len(self.rows)
+        keys = self.rows.astype(np.int64) * self.n + self.cols
+        moved = rows.astype(np.int64) * self.n + cols
+        at = np.searchsorted(keys, moved)
+        hit = keys[np.minimum(at, nnz - 1)] == moved
+        if hit.all():       # every image is an entry, so every entry is an image
+            return at.astype(np.int32), np.zeros(0, dtype=np.int32)
+        missed = np.ones(nnz, dtype=bool)
+        missed[at[hit]] = False
+        return np.where(hit, at, nnz).astype(np.int32), np.flatnonzero(missed).astype(np.int32)
+
+    @property
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """`partners` of the transpose (r, c) -> (c, r)."""
+        return self.memo("mirror", lambda: self.partners(self.cols, self.rows))
+
+    def layout(self, vals: np.ndarray) -> list:
+        """`_block_layout` for the nonzero entries of `vals` and those with an
+        imaginary part, kept while the next call's entries are the same."""
+        nonzero = vals != 0
+        imag = vals.imag != 0 if np.iscomplexobj(vals) else None
+        key = (nonzero.tobytes(), b"" if imag is None else imag.tobytes())
+        kept = self._layout       # read once: another thread may replace it
+        if kept is None or kept[0] != key:
+            kept = self._layout = (key, _block_layout(self, nonzero, imag))
+        return kept[1]
+
+
 @dataclass(frozen=True)
 class SectorMatrix:
-    """An n x n matrix as its nonzero entries: `rows`, `cols` and `vals`
-    (complex128, or float64 when every value is real), in row-major order,
-    one entry per (row, col)."""
+    """An n x n matrix as its entries `rows`, `cols` and `vals` (complex128,
+    or float64 when every value is real), in row-major order, one entry per
+    (row, col).  An entry may be a stored zero: the matrix's nonzero entries
+    are those with vals != 0, and only those are read as its pattern.
+    `pattern` holds the index work on (n, rows, cols): a fresh `Pattern` of
+    the matrix's own, or the one shared by the matrices that
+    `Pattern.matrix` makes."""
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    pattern: Pattern = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pattern", Pattern(self.n, self.rows, self.cols))
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SectorMatrix":
@@ -88,11 +161,7 @@ class SectorMatrix:
         the float range is kept as inf or NaN."""
         keys, inverse = np.unique(np.asarray(rows, dtype=np.int64) * n + cols,
                                   return_inverse=True)
-        vals = np.asarray(vals)
-        summed = np.zeros(len(keys), dtype=vals.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(summed, inverse, vals)
-        summed = summed.astype(np.complex128, copy=False)
+        summed = sum_at(inverse, np.asarray(vals), len(keys)).astype(np.complex128, copy=False)
         keep = summed != 0
         rows, cols = np.divmod(keys[keep], n)
         return cls(n, rows, cols, summed[keep])
@@ -110,23 +179,28 @@ class SectorMatrix:
         A[self.rows, self.cols] = self.vals
         return A
 
-    def deviation(self, rows: np.ndarray, cols: np.ndarray, conj: bool = False) -> float:
+    def deviation(self, partners: tuple[np.ndarray, np.ndarray], conj: bool = False) -> float:
         """max over all (r, c) of |M(r, c) - M(f(r, c))|, M(f(r, c)) conjugated
-        with `conj`, for a permutation f of the index pairs given at the
-        stored entries as (rows, cols).  Each mapped row-major key is looked
-        up among M's own, a missing partner counting as 0."""
+        with `conj`, for the permutation f of the index pairs whose
+        `Pattern.partners` are given; a missing partner counts as 0."""
         if not self.nnz:
             return 0.0
-        keys, moved = self.rows * self.n + self.cols, rows * self.n + cols
-        at = np.minimum(np.searchsorted(keys, moved), self.nnz - 1)
-        hit = keys[at] == moved
-        partner = np.where(hit, self.vals[at], 0)
+        at, missed = partners
+        partner = np.append(self.vals, 0)[at]
         dev = np.abs(self.vals - (partner.conj() if conj else partner)).max()
-        if not hit.all():     # stored entries M(f(r, c)) whose (r, c) is not stored
-            missed = np.ones(self.nnz, dtype=bool)
-            missed[at[hit]] = False
+        if len(missed):     # stored entries M(f(r, c)) whose (r, c) is not stored
             dev = max(dev, np.abs(self.vals[missed]).max())
         return float(dev)
+
+
+def sum_at(inverse: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """`vals` summed into `size` slots at the positions `inverse`, each slot
+    from 0 in storage order (`np.add.at`); a sum beyond the float range is
+    kept as inf or NaN."""
+    summed = np.zeros(size, dtype=vals.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(summed, inverse, vals)
+    return summed
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -154,20 +228,25 @@ def _blocks(lab: np.ndarray, cplx: np.ndarray) -> list[tuple[np.ndarray, bool]]:
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
     key = 2 * sizes + cplx[order[starts]]
+    # the distinct keys, ascending; np.unique here would import numpy.ma (~20 ms)
     return [(order[starts[key == k][:, None] + np.arange(k // 2)], bool(k % 2))
-            for k in np.unique(key)]
+            for k in np.flatnonzero(np.bincount(key))]
 
 
 def _gated(H):
-    """H's nonzero triplets (n, rows, cols, vals) and its scale max|H|, after
-    the checks of `eigensolve`.
+    """H as a `SectorMatrix` at the solver's scale, H * 2**-k, with k and
+    the scale max|H|, after the checks of `eigensolve`.
 
-    Entries come in row-major order: a `SectorMatrix` passes through, and any
-    other H is read as a dense array, giving what `np.nonzero` finds (a -0.0
-    is a zero like any other).  The shape and the dimension cap are checked
-    before anything of size n^2 is touched; any entry that is inf or NaN is
-    rejected.  `vals` are float64 when the imaginary part of H is exactly
-    zero, complex128 otherwise.
+    A `SectorMatrix` keeps its entries and its `pattern`; any other H is
+    read as a dense array, giving its nonzero entries in row-major order
+    (a -0.0 is a zero like any other).  The shape and the dimension cap are
+    checked before anything of size n^2 is touched; any entry that is inf
+    or NaN is rejected.  The values are float64 when the imaginary part of
+    H is exactly zero, complex128 otherwise.  k is the even exponent that
+    puts max|H| * 2**-k in [1, 4), and the values are multiplied by 2**-k
+    with `np.ldexp` on real and imaginary parts apart, which is exact.
+    The Hermiticity gate compares max|H - H^dag| with 1e-10 max|H| on
+    those values, so H * 2**j passes or fails it as H does.
     """
     if not isinstance(H, SectorMatrix):
         H = np.asarray(H)
@@ -175,21 +254,25 @@ def _gated(H):
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     n = H.shape[0]
     check_cap(n)
-    if isinstance(H, SectorMatrix):
-        rows, cols, vals = H.rows, H.cols, H.vals
-    else:
-        rows, cols = np.nonzero(H)
-        vals = H[rows, cols].astype(np.complex128, copy=False)
+    if not isinstance(H, SectorMatrix):
+        at = np.flatnonzero(H != 0)
+        H = SectorMatrix(n, *np.divmod(at, n), np.take(H, at).astype(np.complex128, copy=False))
+    vals = H.vals
     if not np.isfinite(vals).all():
         raise ValueError("matrix entries must be finite")
     if not vals.imag.any():
         vals = np.ascontiguousarray(vals.real)
-    dev = SectorMatrix(n, rows, cols, vals).deviation(cols, rows, conj=True)
     scale = np.abs(vals).max(initial=0.0)
-    if dev > HERMITICITY_TOL * max(1.0, scale):
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
-                           f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
-    return n, rows, cols, vals, scale
+    # k even, so that LAPACK's square roots of entries round as they do on H
+    k = 2 * ((math.frexp(scale)[1] - 1) // 2)
+    vals = (np.ldexp(vals.real, -k) + 1j * np.ldexp(vals.imag, -k)
+            if np.iscomplexobj(vals) else np.ldexp(vals, -k))
+    M = H.pattern.matrix(vals)
+    dev = M.deviation(M.pattern.mirror, conj=True)
+    if dev > HERMITICITY_TOL * math.ldexp(scale, -k):
+        raise NotHermitian(f"max |H - H^dag| = {math.ldexp(dev, k):.3e} > "
+                           f"{HERMITICITY_TOL:.0e} * max |H| = {scale:.3e}")
+    return M, k, scale
 
 
 def _sq_sum(x: np.ndarray, subscripts: str) -> np.ndarray:
@@ -212,35 +295,56 @@ def _certificate(w: np.ndarray, trace, fro2) -> float:
     return float(np.maximum(c1, c2).max(initial=0.0))
 
 
-def _block_eigh(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                compute_vectors: bool):
-    """Solve the Hermitian matrix with these row-major nonzero triplets block
-    by block: the connected components of its nonzero pattern, those of each
-    size scattered into one (k, s, s) stack, real or complex apart, and each
-    stack solved in real arithmetic when its own entries are real.
-    Returns the (index sets, eigenvalues, eigenvectors) of each group and a
-    bound.  With vectors, each stack goes through one batched `eigh` and the
-    bound is the largest residual ||B v - lambda v||; without, through
-    `eigvalsh`, the eigenvectors are None and the bound is the largest
-    `_certificate` of a block.  Values and bound are at the caller's scale;
-    no block is scaled again."""
+def _block_layout(pattern: Pattern, nonzero: np.ndarray, imag) -> list:
+    """The pattern step of `_block_eigh`: the blocks of the matrices on
+    `pattern` whose nonzero entries are `nonzero` and whose entries with an
+    imaginary part are `imag` (None for real values).
+
+    The blocks are the connected components of the nonzero entries, those
+    of each size grouped into one (k, s, s) stack, real or complex apart.
+    One (index sets, complex, entries, positions) item per stack: its
+    (k, s) index sets, whether any of its entries has an imaginary part,
+    and the position of each of its entries in the pattern and in the
+    flattened stack."""
+    entries = np.flatnonzero(nonzero)
+    rows, cols = pattern.rows[entries], pattern.cols[entries]
+    n = pattern.n
     lab = _components(rows, cols, n)
     cplx = np.zeros(n, dtype=bool)
-    if np.iscomplexobj(vals):
-        cplx[lab[rows[vals.imag != 0]]] = True
+    if imag is not None:
+        cplx[lab[pattern.rows[imag]]] = True
     blocks = _blocks(lab, cplx)
     group, block, within = (np.empty(n, dtype=np.intp) for _ in range(3))
     for g, (idx, _) in enumerate(blocks):
         group[idx] = g
         block[idx] = np.arange(len(idx))[:, None]
         within[idx] = np.arange(idx.shape[1])
+    by_group = np.argsort(group[rows], kind="stable")
+    ends = np.cumsum(np.bincount(group[rows], minlength=len(blocks)))
+    layout = []
+    for (idx, is_complex), e in zip(blocks, np.split(by_group, ends[:-1])):
+        r, c, s = rows[e], cols[e], idx.shape[1]
+        layout.append((idx, is_complex, entries[e].astype(np.int32),
+                       ((block[r] * s + within[r]) * s + within[c]).astype(np.int32)))
+    return layout
+
+
+def _block_eigh(M: SectorMatrix, compute_vectors: bool):
+    """Solve the Hermitian M block by block, on the stacks of
+    `M.pattern.layout`: each stack is scattered from M's values and solved
+    in real arithmetic when its own entries are real.
+    Returns the (index sets, eigenvalues, eigenvectors) of each group and a
+    bound.  With vectors, each stack goes through one batched `eigh` and the
+    bound is the largest residual ||B v - lambda v||; without, through
+    `eigvalsh`, the eigenvectors are None and the bound is the largest
+    `_certificate` of a block.  Values and bound are at the caller's scale;
+    no block is scaled again."""
+    vals = M.vals
     groups = []
     bound = 0.0
-    for g, (idx, is_complex) in enumerate(blocks):
-        hit = group[rows] == g
-        r, c = rows[hit], cols[hit]
+    for idx, is_complex, entries, at in M.pattern.layout(vals):
         B = np.zeros(idx.shape + idx.shape[1:], dtype=vals.dtype if is_complex else float)
-        B[block[r], within[r], within[c]] = vals[hit] if is_complex else vals[hit].real
+        B.reshape(-1)[at] = vals[entries] if is_complex else vals[entries].real
         if compute_vectors:
             w, V = np.linalg.eigh(B)
             residual = np.linalg.norm(B @ V - V * w[:, None, :], axis=1)
@@ -257,26 +361,35 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     """Hermitian eigensolve, with eigenvectors and verified residuals or with
     eigenvalues alone and a moment certificate.
 
-    H (a `SectorMatrix` or a dense array) is read once as its nonzero
-    (row, col, value) triplets, and the checks run on those: the
-    Hermiticity deviation pairs each (r, c) with its mirror (c, r), a missing
-    mirror counting as 0.  H is split into the connected components of its
-    nonzero pattern (symmetry sectors show up here without being named); the
-    components of each size are scattered into one (k, s, s) stack, real and
-    complex ones apart, and solved at once, in real arithmetic when the
-    stack's entries have an imaginary part of exactly zero.  No n x n array
-    is formed unless eigenvectors are asked for.  Eigenvalues are merged
-    with a stable sort; eigenvectors are returned in the original basis order.
+    H (a `SectorMatrix` or a dense array) is read once as its entries,
+    (row, col, value) triplets, and its pattern's index work (`Pattern`)
+    is done in two steps: a pattern step, run once per pattern and kept on
+    it, and a value step on every call.  A `SectorMatrix` from
+    `chain.chain_matrix` carries its chain shape's pattern, whose index work
+    is already done after the first solve; any other input gets a fresh
+    pattern, and both steps run on the spot.  Every check reads this call's
+    values.
 
-    Everything after the gates runs at one scale: the checked triplets are
-    multiplied once by 2**-k, the even k that puts max|H| * 2**-k in [1, 4),
-    with `np.ldexp` on real and imaginary parts apart, which is exact.
-    LAPACK, both bounds, the cap and `reduce` see that matrix, and the
-    eigenvalues, the bound and the numbers of an error message are scaled
-    back by 2**k once, at the end.  Squares of entries then cannot overflow,
-    nor those near max|H| underflow, and eigensolve(H * 2**j) is eigensolve(H) scaled by 2**j, bit
-    for bit, for every even j with H * 2**j exact (an odd j hands LAPACK
-    the same matrix doubled or halved).
+    Everything runs at one scale: the triplets are multiplied once by 2**-k,
+    the even k that puts max|H| * 2**-k in [1, 4), with `np.ldexp` on real
+    and imaginary parts apart, which is exact.  The Hermiticity gate, LAPACK,
+    both bounds, the cap and `reduce` see that matrix, and the eigenvalues,
+    the bound and the numbers of an error message are scaled back by 2**k
+    once, at the end.  Squares of entries then cannot overflow, nor those
+    near max|H| underflow, and eigensolve(H * 2**j) is eigensolve(H) scaled
+    by 2**j, bit for bit, for every even j with H * 2**j exact (an odd j
+    hands LAPACK the same matrix doubled or halved); the gate's verdict is
+    the same for every j.  The Hermiticity deviation pairs each (r, c) with
+    its mirror (c, r), a missing mirror counting as 0.
+
+    H is split into the connected components of its nonzero entries
+    (symmetry sectors show up here without being named; stored zeros join
+    nothing); the components of each size are scattered into one (k, s, s)
+    stack, real and complex ones apart, and solved at once, in real
+    arithmetic when the stack's entries have an imaginary part of exactly
+    zero.  No n x n array is formed unless eigenvectors are asked for.
+    Eigenvalues are merged with a stable sort; eigenvectors are returned in
+    the original basis order.
 
     With `compute_vectors`, each stack goes through a batched `eigh`, and
     `residual_bound` is the largest ||H v - lambda v|| over all eigenpairs,
@@ -284,9 +397,9 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     Without, each stack goes through `eigvalsh` and `residual_bound` is a
     moment certificate: the largest of c1 = |sum lambda - tr B| and
     c2 = |sum lambda^2 - ||B||_F^2| / (2 ||B||_F) (c2 = 0 for a zero B), over
-    every block B and over H itself against all n eigenvalues.  Both moments
-    are invariant under unitary similarity, and one eigenvalue moved by d
-    gives c1 = d.
+    every block B and over H itself against all n eigenvalues, tr H and
+    ||H||_F^2 summed over the nonzero entries.  Both moments are invariant
+    under unitary similarity, and one eigenvalue moved by d gives c1 = d.
 
     `reduce(M)`, if given, maps the checked H * 2**-k (as a `SectorMatrix`,
     with float64 values when H is real) to a pair
@@ -302,21 +415,18 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
 
     Raises ValueError for a non-square H or an inf or NaN entry,
     DimensionTooLarge beyond `check_cap` (checked first), NotHermitian when
-    max|H - H^dag| > 1e-10 * max(1, max|H|) entry-wise, and RuntimeError when
+    max|H - H^dag| > 1e-10 * max|H| entry-wise, and RuntimeError when
     the multiplicities break the contract above, or the residual or the
     certificate exceeds 1e-8 * max|H| * dim.  Raises AmplitudeOverflow when an
     eigenvalue, scaled back, is beyond the float range.
     """
-    n, rows, cols, vals, scale = _gated(H)
-    # k even, so that LAPACK's square roots of entries round as they do on H
-    k = 2 * ((math.frexp(scale)[1] - 1) // 2)
-    vals = (np.ldexp(vals.real, -k) + 1j * np.ldexp(vals.imag, -k)
-            if np.iscomplexobj(vals) else np.ldexp(vals, -k))
+    M, k, scale = _gated(H)
+    n = M.n
     if reduce is not None:
         if compute_vectors:
             raise ValueError("eigenvectors are not available for a reduced matrix")
-        K, mult = reduce(SectorMatrix(n, rows, cols, vals))
-        groups, bound = _block_eigh(K.n, K.rows, K.cols, K.vals, compute_vectors)
+        K, mult = reduce(M)
+        groups, bound = _block_eigh(K, compute_vectors)
         repeats = [mult[idx] for idx, _, _ in groups]
         flat = np.repeat(np.concatenate([w.ravel() for _, w, _ in groups]),
                          np.concatenate([m.ravel() for m in repeats]))
@@ -324,14 +434,16 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
             raise RuntimeError("the block multiplicities of the reduction do not sum to "
                                f"{n} or vary within a block")
     else:
-        groups, bound = _block_eigh(n, rows, cols, vals, compute_vectors)
+        groups, bound = _block_eigh(M, compute_vectors)
         flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
     order = np.argsort(flat, kind="stable")
     eigenvalues = flat[order]
     what = "eigendecomposition residual"
     if not compute_vectors:
         what = "eigenvalue moment certificate"
-        bound = max(bound, _certificate(eigenvalues, vals[rows == cols].real.sum(),
+        # over the nonzero entries alone, so that stored zeros leave the sums' bits alone
+        vals, diag = M.vals[M.vals != 0], M.vals[M.rows == M.cols]
+        bound = max(bound, _certificate(eigenvalues, diag[diag != 0].real.sum(),
                                         _sq_sum(vals, "i,i")))
     cap = RESIDUAL_FACTOR * math.ldexp(scale, -k) * n
     if bound > cap:
@@ -345,7 +457,7 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     if compute_vectors:
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        evecs = np.zeros((n, n), dtype=vals.dtype)
+        evecs = np.zeros((n, n), dtype=M.vals.dtype)
         start = 0
         for idx, _, V in groups:
             pos = rank[start:start + idx.size].reshape(idx.shape)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from collections import Counter
@@ -29,13 +30,14 @@ from bargmann.chain import (
     UNREDUCED_MAX_DIM,
     ChainSpec,
     _bond_tables,
+    _placements,
     build_hamiltonian,
     chain_matrix,
     mode_difference,
     solve,
     symmetry_reduction,
 )
-from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, SectorViolation
+from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, SectorViolation
 from bargmann.thermo import SectorMatrix, eigensolve
 
 from reference import (
@@ -437,6 +439,128 @@ class TestChainMatrix:
             tracemalloc.stop()
         assert got.eigenvalues.tolist() == [0.0]
         assert peak < 16 * 2 ** 20
+
+
+@st.composite
+def plan_cases(draw):
+    """A chain of spin 0 to 5/2 and dimension up to 1024, on either side of
+    UNREDUCED_MAX_DIM, and two coupling sets for it: seeded draws, Jx = Jy,
+    a zero coupling or a dyadic scale of the first.  Spin-1 periodic chains
+    with jz != 0 have diagonal sums that cancel to exactly 0."""
+    twos = draw(st.integers(0, 5))
+    n = draw(st.integers(1, max(1, int(np.log(1024) / np.log(twos + 1) + 1e-9)) if twos else 4))
+    boundary = draw(st.sampled_from([OPEN, PERIODIC] if n > 1 else [OPEN]))
+    mode = draw(st.sampled_from([COMPOSITIONAL, PAPER_LITERAL]))
+    hbar = draw(st.sampled_from([Fraction(1), Fraction(2, 3)]))
+    first = draw(couplings_st)
+    kind = draw(st.sampled_from(["draw", "jx=jy", "zero", "dyadic"]))
+    if kind == "draw":
+        second = draw(couplings_st)
+    elif kind == "jx=jy":
+        second = (first[0], first[0], first[2])
+    elif kind == "zero":
+        zero = draw(st.integers(0, 2))
+        second = tuple(0.0 if a == zero else J for a, J in enumerate(first))
+    else:
+        j = draw(st.integers(-60, 60))
+        second = tuple(float(np.ldexp(J, j)) for J in first)
+    return [ChainSpec(n_sites=n, spin=Fraction(twos, 2), couplings=J, boundary=boundary,
+                      hbar=hbar, mode=mode) for J in (first, second)]
+
+
+class TestPlan:
+    """`solve` does the index work once per chain shape (`_placements` and
+    the index maps on its pattern) and only value work on every call."""
+
+    @given(plan_cases())
+    @settings(max_examples=120, deadline=None)
+    @example([ChainSpec(n_sites=6, spin=Fraction(1), couplings=J, boundary=PERIODIC)
+              for J in [(0.8, 1.1, -0.6), (0.25, 0.5, 1.0)]])
+    def test_warm_plan_equals_a_cold_solve(self, specs):
+        first, second = specs
+        _placements.cache_clear()
+        solve(first)                      # the plan of the shape, built by other couplings
+        warm = solve(second)
+        _placements.cache_clear()
+        cold = solve(second)
+        assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+        assert warm.residual_bound == cold.residual_bound
+
+    def test_one_plan_per_shape_and_pattern_of_h(self):
+        _placements.cache_clear()
+        xyz = ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(1.0, 0.7, 0.3))
+        other = [ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(-0.4, 1.9, 2.5), hbar=hbar)
+                 for hbar in (Fraction(1), Fraction(2, 3))]
+        pattern = chain_matrix(xyz).pattern
+        for spec in other:
+            assert chain_matrix(spec).pattern is pattern
+        assert _placements.cache_info().misses == 1
+        # jx = jy cancels the S+S+ and S-S- entries of h: another pattern, another plan
+        xxz = chain_matrix(ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(0.7, 0.7, 0.3)))
+        assert xxz.pattern is not pattern and xxz.nnz < chain_matrix(xyz).nnz
+        assert _placements.cache_info().misses == 2
+        # the index maps of the reduction are kept on the shape's pattern
+        solve(xyz)
+        kept = dict(pattern._memo)
+        solve(other[0])
+        assert pattern._memo.keys() == kept.keys()
+        assert all(pattern._memo[key] is value for key, value in kept.items())
+
+    def test_a_pattern_is_shared_only_by_the_matrices_it_makes(self):
+        M = chain_matrix(ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(1.0, 0.7, 0.3)))
+        assert M.pattern.matrix(2 * M.vals).pattern is M.pattern
+        with pytest.raises(TypeError):
+            SectorMatrix(M.n, M.rows, M.cols, M.vals, M.pattern)
+        moved = dataclasses.replace(M, rows=M.cols, cols=M.rows)
+        assert moved.pattern is not M.pattern
+        assert moved.pattern.rows is M.cols and moved.pattern.cols is M.rows
+
+    def test_stored_zeros_leave_the_bits_alone(self):
+        # spin-1 N=6 periodic: some diagonal sums cancel to exactly 0 and are
+        # kept as stored zeros; the compressed matrix, with its own pattern,
+        # gives the same bits reduced and unreduced
+        spec = ChainSpec(n_sites=6, spin=Fraction(1), couplings=(0.8, 1.1, -0.6), boundary=PERIODIC)
+        M = chain_matrix(spec)
+        nonzero = M.vals != 0
+        assert not nonzero.all() and (M.rows[~nonzero] == M.cols[~nonzero]).all()
+        bare = SectorMatrix(M.n, M.rows[nonzero], M.cols[nonzero], M.vals[nonzero])
+        for reduce in (None, symmetry_reduction(spec)):
+            want = eigensolve(bare, compute_vectors=False, reduce=reduce)
+            got = eigensolve(M, compute_vectors=False, reduce=reduce)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.residual_bound == want.residual_bound
+        assert solve(spec).eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    @staticmethod
+    def warm(spec):
+        """The chain matrix of `spec` after a solve has filled its plan."""
+        solve(spec)
+        M = chain_matrix(spec)
+        assert M.pattern is chain_matrix(spec).pattern and M.pattern._memo
+        return M
+
+    def test_warm_plan_still_gates_hermiticity(self):
+        spec = ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        M = self.warm(spec)
+        vals = M.vals.copy()
+        vals[np.flatnonzero(M.rows < M.cols)[0]] *= 1 + 1e-6    # one side of one pair
+        broken = M.pattern.matrix(vals)
+        for reduce in (None, symmetry_reduction(spec)):
+            with pytest.raises(NotHermitian):
+                eigensolve(broken, compute_vectors=False, reduce=reduce)
+
+    def test_warm_plan_still_gates_translation_invariance(self):
+        spec = ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        M = self.warm(spec)
+        vals = M.vals.copy()
+        k = np.flatnonzero(M.rows < M.cols)[0]
+        mirror = np.flatnonzero((M.rows == M.cols[k]) & (M.cols == M.rows[k]))
+        vals[[k, *mirror]] *= 1 + 1e-6                         # Hermitian, not invariant
+        broken = M.pattern.matrix(vals)
+        with pytest.raises(RuntimeError, match="not translation invariant"):
+            eigensolve(broken, compute_vectors=False, reduce=symmetry_reduction(spec))
 
 
 class TestOneCap:

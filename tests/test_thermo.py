@@ -98,11 +98,11 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_subnormal_one_sided_entry_fails_the_cap(self, vectors):
-        # within the absolute Hermiticity gate but not a Hermitian matrix at
-        # its own scale: both bounds see it, as for 1e-11 in place of 3e-301
-        # or 1e-320 (the residual norm of the unscaled matrix underflows to 0)
+        # not a Hermitian matrix at its own scale: the relative gate sees it
+        # at 1e-11 as at 3e-301 or 1e-320, where 1e-10 * max|H| underflows
+        # on H but not on H * 2**-k
         for x in (1e-11, 3e-301, 1e-320):
-            with pytest.raises(RuntimeError, match="exceeds"):
+            with pytest.raises(NotHermitian, match="max \\|H\\| = "):
                 eigensolve(np.array([[0, x], [0, 0]]), compute_vectors=vectors)
 
     @pytest.mark.parametrize("vectors", [False, True])
@@ -201,8 +201,9 @@ class TestBlockedEigensolve:
 
     def test_block_counts(self):
         def count(H):
-            n, rows, cols, _, _ = _gated(H)
-            return len(np.unique(_components(rows, cols, n)))
+            M = _gated(H)[0]
+            nonzero = M.vals != 0
+            return len(np.unique(_components(M.rows[nonzero], M.cols[nonzero], M.n)))
 
         xyz = _chain_matrix(6, Fraction(1, 2), (1, -0.9, 0.5), "periodic")
         cancel = _chain_matrix(6, Fraction(1, 2), (1, -1, 0.5), "periodic")
@@ -235,20 +236,30 @@ class TestBlockedGates:
         with pytest.raises(NotHermitian):
             eigensolve(H)
 
+    def test_deviation_counts_an_entry_that_is_no_entry_image(self):
+        # g shifts indices by one mod 4: (0, 0) -> (1, 1) -> (2, 2), unstored;
+        # no stored entry maps to (0, 0), whose preimage (3, 3) is a 0
+        M = SectorMatrix(4, np.array([0, 1]), np.array([0, 1]), np.array([5.0, 2.5]))
+        g = np.array([1, 2, 3, 0])
+        assert M.deviation(M.pattern.partners(g[M.rows], g[M.cols])) == 5.0
+        assert M.deviation(M.pattern.mirror, conj=True) == 0.0
+
     def test_hermiticity_gate_scales_with_max_entry(self):
         # one ulp of 1e8 is 1.5e-8, above an absolute 1e-10 but float noise on
-        # the scale of H; the gate is 1e-10 * max(1, max|H|)
+        # the scale of H; the gate is 1e-10 * max|H|
         big = 1e8
         H = np.array([[0.0, big], [np.nextafter(big, np.inf), 0.0]])
         for vectors in (False, True):
             w = eigensolve(H, compute_vectors=vectors).eigenvalues
             assert np.allclose(w, [-big, big], rtol=1e-15, atol=0)
         H[1, 0] = big * (1 + 1e-9)
-        with pytest.raises(NotHermitian, match="1e-10 \\* max\\(1, max \\|H\\| = 1.000e\\+08\\)"):
+        with pytest.raises(NotHermitian, match="1e-10 \\* max \\|H\\| = 1.000e\\+08"):
             eigensolve(H)
-        # unchanged for max|H| <= 1
+        # and relative below max|H| = 1 as well
         with pytest.raises(NotHermitian):
             eigensolve(np.array([[0.0, 0.5], [0.5 + 2e-10, 0.0]]))
+        with pytest.raises(NotHermitian, match="max \\|H - H\\^dag\\| = 2.000e-12"):
+            eigensolve(np.array([[0.0, 1e-2], [1e-2 + 2e-12, 0.0]]))
 
     def _shifted_eigh(self, monkeypatch, eps):
         real_eigh = np.linalg.eigh
@@ -301,13 +312,13 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
         raise DimensionTooLarge(f"dimension {n} exceeds cap {max_dim}")
     if not A.imag.any():
         A = np.ascontiguousarray(A.real)
-    dev = np.abs(A - A.conj().T).max() if n else 0.0
     scale = np.abs(A).max() if n else 0.0
-    if dev > HERMITICITY_TOL * max(1.0, scale):
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} > "
-                           f"{HERMITICITY_TOL:.0e} * max(1, max |H| = {scale:.3e})")
-    k = solver_exponent(scale)    # solved as A * 2**-k, then scaled back
+    k = solver_exponent(scale)    # gated and solved as A * 2**-k, then scaled back
     A = _ldexp(A, -k)
+    dev = np.abs(A - A.conj().T).max() if n else 0.0
+    if dev > HERMITICITY_TOL * math.ldexp(scale, -k):
+        raise NotHermitian(f"max |H - H^dag| = {math.ldexp(dev, k):.3e} > "
+                           f"{HERMITICITY_TOL:.0e} * max |H| = {scale:.3e}")
     lab = _reference_components(A)
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
@@ -688,6 +699,31 @@ class TestScaleEquivariance:
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
         else:
             assert got.eigenvectors is None
+
+
+    @given(case=scalable_hermitian(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_keeps_the_hermiticity_verdict(self, case, data):
+        # one one-sided entry of about 0.6e-10 to 3.5e-10 max|H|, around the
+        # gate's 1e-10 max|H|; j >= -950 keeps it exact
+        H, j = case
+        n = H.shape[0]
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        H = H.copy()
+        H[r, c] += data.draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])) * 2.0 ** -33 * max(
+            1.0, np.abs(H).max())
+        j = max(j, -950)
+        Hj = _ldexp(H, j)
+        assert np.array_equal(_ldexp(Hj, -j), H)
+
+        def passes(A):
+            try:
+                _gated(A)
+            except NotHermitian:
+                return False
+            return True
+
+        assert passes(Hj) == passes(H)
 
 
 class TestPartitionFunction:

@@ -16,11 +16,13 @@ of the sector matrix, its gates and its symmetry blocks once per chain shape.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -341,21 +343,62 @@ def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatr
     return pattern.matrix(K), mult[chars][which]
 
 
-def _symmetry_maps(d: int, n_sites: int, boundary: str):
-    """The index maps of a chain's symmetries on its sector, (name, map,
-    order) each: translation T on a periodic chain or reflection R on an
-    open one, then the flip P; a map that is the identity is left out.
-    With them, the parity of the digit sum when (d - 1) n_sites is odd,
-    else None."""
-    r = np.arange(d ** n_sites)
-    digits = r[:, None] // d ** np.arange(n_sites - 1, -1, -1) % d
-    if boundary == PERIODIC:
-        maps = [("T", r // d + r % d * d ** (n_sites - 1), n_sites)]
-    else:
-        maps = [("R", digits @ d ** np.arange(n_sites), 2)]
-    maps.append(("P", r[::-1], 2))
-    parity = digits.sum(axis=1) % 2 if (d - 1) * n_sites % 2 else None
-    return [m for m in maps if (m[1] != r).any()], parity
+class ChainPlan(Pattern):
+    """The pattern of a chain's sector matrix M with all the index work of
+    its solve, which reads no value:
+
+    - `rows`, `cols` and the steps of `Pattern`: the partner map of the
+      Hermiticity gate and the block layout of an unreduced solve;
+    - `at`: the entry of M that each placement of the bond matrix goes to;
+    - `maps`: the index maps of the symmetries of the chain `shape`
+      (d, n_sites, boundary) with their partner maps, (name, map, order,
+      partners) each: translation T on a periodic chain or reflection R on
+      an open one, then the flip P, a map that is the identity left out;
+      and `parity`, of the digit sum when (d - 1) n_sites is odd.  Both
+      are None without a shape, when M is solved unreduced;
+    - `tables`: the `SymmetryTables` of each set of generators that passes
+      the invariance checks, by their names, each keeping the maps into K
+      and K's `Pattern` per set of kept characters.
+
+    `key` is the chain shape: 2s, n_sites, the boundary and the nonzero
+    pattern of the bond matrix h, never a coupling, hbar or mode value.
+    The layouts and `tables` are built on first use.
+    """
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray,
+                 at=None, shape=None, key=None):
+        super().__init__(n, rows, cols)
+        self.at, self.key, self.tables = at, key, {}
+        self.maps = self.parity = None
+        if shape is None:
+            return
+        d, n_sites, boundary = shape
+        r = np.arange(n)
+        digits = r[:, None] // d ** np.arange(n_sites - 1, -1, -1) % d
+        maps = [("T", r // d + r % d * d ** (n_sites - 1), n_sites) if boundary == PERIODIC
+                else ("R", digits @ d ** np.arange(n_sites), 2), ("P", r[::-1], 2)]
+        self.maps = [(name, g, order, self.partners(g[rows], g[cols]))
+                     for name, g, order in maps if (g != r).any()]
+        self.parity = digits.sum(axis=1) % 2 if (d - 1) * n_sites % 2 else None
+
+    def reduce(self, M: SectorMatrix) -> tuple[SectorMatrix, np.ndarray]:
+        """`symmetry_reduction` of M, whose entries are the plan's."""
+        scale = np.abs(M.vals).max(initial=0.0)
+        tol = INVARIANCE_TOL * scale
+        generators = []
+        for name, g, order, partners in self.maps:
+            dev = M.deviation(partners)
+            if name == "T" and dev > tol:
+                raise RuntimeError(f"sector matrix is not translation invariant: "
+                                   f"max |M(Tr, Tc) - M(r, c)| / max |M| = {dev / scale:.3e}")
+            if dev <= tol:
+                generators.append((name, g, order))
+        names = tuple(name for name, _, _ in generators)
+        if names not in self.tables:
+            self.tables[names] = SymmetryTables(
+                self, [(g, o) for _, g, o in generators],
+                self.parity if "P" in names else None)
+        return symmetry_blocks(M, self.tables[names])
 
 
 def symmetry_reduction(spec: ChainSpec):
@@ -372,34 +415,13 @@ def symmetry_reduction(spec: ChainSpec):
     - A generator that is the identity map is dropped.
     Invariance means max|M(gr, gc) - M(r, c)| <= 1e-12 max|M|.
 
-    The maps, their partner maps and the `SymmetryTables` are kept on M's
-    `pattern`, keyed by name: the matrices of one chain shape share the
-    pattern of `chain_matrix`, so each call after the first reads only M's
-    values.
+    Each call builds a `ChainPlan` on M's entries for its pattern step;
+    `solve` reuses the one it keeps for the chain shape.
 
     Raises RuntimeError when a periodic chain's M is not translation invariant.
     """
     shape = (int(2 * spec.spin) + 1, spec.n_sites, spec.boundary)
-
-    def reduce(M: SectorMatrix):
-        maps, parity = M.pattern.memo("maps", lambda: _symmetry_maps(*shape))
-        scale = np.abs(M.vals).max(initial=0.0)
-        tol = INVARIANCE_TOL * scale
-        generators = []
-        for name, g, order in maps:
-            dev = M.deviation(M.pattern.memo(
-                name, lambda g=g: M.pattern.partners(g[M.rows], g[M.cols])))
-            if name == "T" and dev > tol:
-                raise RuntimeError(f"sector matrix is not translation invariant: "
-                                   f"max |M(Tr, Tc) - M(r, c)| / max |M| = {dev / scale:.3e}")
-            if dev <= tol:
-                generators.append((name, g, order))
-        names = tuple(name for name, _, _ in generators)
-        tables = M.pattern.memo(names, lambda: SymmetryTables(
-            M.pattern, [(g, o) for _, g, o in generators], parity if "P" in names else None))
-        return symmetry_blocks(M, tables)
-
-    return reduce
+    return lambda M: ChainPlan(M.n, M.rows, M.cols, shape=shape).reduce(M)
 
 
 @functools.lru_cache(maxsize=16)
@@ -437,19 +459,16 @@ def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ..
     return tuple(tables)
 
 
-@functools.lru_cache(maxsize=32)
-def _placements(twos: int, n_sites: int, boundary: str, h_keys: bytes):
-    """The pattern step of `chain_matrix`: the `Pattern` of a chain's sector
-    matrix M and where each placement of the bond matrix h goes in it, for
-    h with these row-major keys (int64) and no coupling, hbar or mode value.
+def _plan(twos: int, n_sites: int, boundary: str, h_keys: bytes) -> ChainPlan:
+    """A new `ChainPlan` for the shape: M's pattern and sum map for a bond
+    matrix h with these row-major keys (int64), and, above
+    UNREDUCED_MAX_DIM, the symmetry maps.
 
     h's entry (a_i d + a_j, b_i d + b_j) is placed on every bond (i, j) at
     every (row, col) pair of states with digits a_i, a_j and b_i, b_j at
     sites i and j and equal digits elsewhere.  The placements are ordered
     (bond in `bond_list` order, entry of h, state), and M's pattern is
-    their union.  Cached per process, one pattern per chain shape; the
-    pattern keeps the index work of `eigensolve` and `symmetry_reduction`.
-    The arrays are read-only.
+    their union.  The arrays are read-only.
     """
     d = twos + 1
     dim, dd = d ** n_sites, d * d
@@ -470,11 +489,46 @@ def _placements(twos: int, n_sites: int, boundary: str, h_keys: bytes):
         rows = (base + shift(h_rows)[:, :, None]).ravel()
         cols = (base + shift(h_cols)[:, :, None]).ravel()
     keys, at = np.unique(rows * dim + cols, return_inverse=True)
-    pattern = Pattern(dim, *(x.astype(np.int32) for x in np.divmod(keys, dim)))
+    rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
     at = at.astype(np.int32)
-    for a in (pattern.rows, pattern.cols, at):
+    for a in (rows, cols, at):
         a.flags.writeable = False
-    return pattern, at
+    shape = (d, n_sites, boundary) if dim > UNREDUCED_MAX_DIM else None
+    return ChainPlan(dim, rows, cols, at, shape, (twos, n_sites, boundary, h_keys))
+
+
+PLAN_BUDGET = 64 * 2 ** 20     # bytes of plans kept: two of N=16 periodic XXZ (30 MiB each)
+_plans = collections.OrderedDict()     # shape -> (ChainPlan, its bytes), least recently used first
+_plans_lock = threading.Lock()
+
+
+def _nbytes(x) -> int:
+    """The bytes of the arrays and byte strings reachable from x through
+    attributes, dicts, lists and tuples."""
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    if isinstance(x, bytes):
+        return len(x)
+    x = vars(x) if hasattr(x, "__dict__") else x
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return 0
+    return sum(map(_nbytes, x))
+
+
+def _keep(plan: ChainPlan):
+    """Keep `plan`, measured again, as the most recently used, and drop the
+    least recently used plans until the rest hold at most PLAN_BUDGET
+    bytes.  A plan over the budget on its own is not kept."""
+    size = _nbytes(plan)
+    with _plans_lock:
+        _plans.pop(plan.key, None)
+        if size <= PLAN_BUDGET:
+            _plans[plan.key] = (plan, size)
+        total = sum(b for _, b in _plans.values())
+        while total > PLAN_BUDGET:
+            total -= _plans.popitem(last=False)[1][1]
 
 
 def chain_matrix(spec: ChainSpec) -> SectorMatrix:
@@ -482,12 +536,11 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     to rounding, without building the whole-chain polynomial.
 
     The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`) is
-    placed on every bond (`_placements`, whose index work is done once per
-    chain shape and nonzero pattern of h), and the contributions to an
-    entry are summed in `spec.bonds()` order.  The values are float64 when h
-    is real.  The entries are the union of the placements, so one where the
-    contributions cancel is a stored zero; the matrix carries the shape's
-    `pattern`, which `solve` reuses on every call.
+    placed on every bond, and the contributions to an entry are summed in
+    `spec.bonds()` order; the values are float64 when h is real.  The
+    entries are the union of the placements, so one whose contributions
+    cancel is a stored zero.  The matrix's `pattern` is the shape's
+    `ChainPlan`: the one `solve` keeps, or a new one, which is not kept.
 
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
@@ -501,10 +554,12 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
             parts += [(T.rows, T.cols, J * T.vals)
                       for J, T in zip(spec.couplings, tables) if J != 0.0]
     h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
-    pattern, at = _placements(d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
+    key = (d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
+    kept = _plans.get(key)      # read once: another thread may drop it
+    plan = kept[0] if kept else _plan(*key)
     h_vals = h.vals if h.vals.imag.any() else h.vals.real
-    placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, pattern.n // (d * d)))
-    M = pattern.matrix(sum_at(at, placed.ravel(), len(pattern.rows)))
+    placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, plan.n // (d * d)))
+    M = plan.matrix(sum_at(plan.at, placed.ravel(), len(plan.rows)))
     if not np.isfinite(M.vals).all():
         raise AmplitudeOverflow("a summed matrix element is beyond the float range")
     return M
@@ -518,21 +573,21 @@ def solve(spec: ChainSpec) -> Spectrum:
     smaller one is solved unreduced, in the blocks of its nonzero pattern
     alone.  The checks of `eigensolve` run on the sector matrix either way.
 
-    The index work depends only on the chain's shape: 2s, n_sites, the
-    boundary and the nonzero pattern of the bond matrix h, never on a
-    coupling, hbar or mode value.  The first solve of a shape does it and
-    keeps it on the shape's `Pattern` (`_placements`, at most 32 shapes per
-    process): M's pattern and the sum map of the placements, the partner
-    maps of the Hermiticity and symmetry gates, the `SymmetryTables`, the
-    maps into K and the block layouts.  Every call then computes values
-    alone, in the same order, so its result is the same to the bit, and
-    runs every gate on its own values.  The saving is for a process that
-    solves one shape again (a coupling scan, `verify --random-trials`); a
-    process that solves once pays the index work once, as it always did.
+    The index work is the chain shape's `ChainPlan`, kept for the next
+    solve of the shape within PLAN_BUDGET bytes.  Every call computes
+    values alone, in the same order, so its result is the same to the bit
+    cold or warm, and runs every gate on its own values.  The saving is for
+    a process that solves one shape again (a coupling scan, `verify
+    --random-trials`); a one-shot call builds the plan once and never reads
+    it again.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.
     """
     check_dimension(spec)
-    reduce = symmetry_reduction(spec) if spec.dimension() > UNREDUCED_MAX_DIM else None
-    return eigensolve(chain_matrix(spec), compute_vectors=False, reduce=reduce)
+    M = chain_matrix(spec)
+    plan = M.pattern
+    spectrum = eigensolve(M, compute_vectors=False,
+                          reduce=plan.reduce if plan.maps is not None else None)
+    _keep(plan)
+    return spectrum

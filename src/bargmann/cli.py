@@ -9,8 +9,9 @@ Exit codes:
     2  malformed input (bad spec/state/points file, a state monomial listed
        twice, a state amplitude or a point coordinate not two finite numbers
        re, im, parse error, bad grid, a negative trial count, a tolerance that
-       is not a finite number >= 0, an amplitude, a summed matrix element or
-       an eigenvalue beyond the float range)
+       is not a finite number >= 0, an amplitude, a summed matrix element,
+       an eigenvalue, or psi(z) or |z|^2 at a Husimi point beyond the float
+       range)
     3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
     4  sector violation (operator does not conserve per-site boson number)
 

@@ -72,22 +72,22 @@ class ThermoPoint:
 
 class Pattern:
     """The entries (rows, cols) of an n x n matrix, sorted row-major with one
-    entry per (row, col), and the index work read from them: done on first
-    use and kept, so every matrix on one pattern reuses it.  `chain.solve`
-    keeps one pattern per chain shape; any other `SectorMatrix` gets its own.
+    entry per (row, col), and the two pattern steps of `eigensolve`, each
+    done on first use and kept, so every matrix on one pattern reuses it:
 
-    - `matrix(vals)`: the `SectorMatrix` of these values on the pattern;
-    - `mirror` and `partners`: the partner maps of `SectorMatrix.deviation`;
-    - `layout`: the blocks of `_block_eigh`, for the nonzero and complex
-      entries of the last matrix that asked (one layout is kept);
-    - `memo(key, build)`: build() once per key; `mirror` and
-      `chain.symmetry_reduction` keep their maps and tables here, by name.
-    Index maps are int32, so a pattern holds fewer than 2**31 entries."""
+    - `mirror`: the partner map of `SectorMatrix.deviation` for H^dag;
+    - `layout(vals)`: the blocks of `_block_eigh` for the nonzero and
+      complex entries of the last values that asked (one layout is kept).
+
+    `matrix(vals)` puts values on the pattern.  The pattern of a chain's
+    sector matrix is the shape's `chain.ChainPlan`, which `chain.solve`
+    keeps; any other `SectorMatrix` gets a pattern of its own, on which
+    both steps run on the spot.  Index maps are int32, so a pattern holds
+    fewer than 2**31 entries."""
 
     def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
         self.n, self.rows, self.cols = n, rows, cols
-        self._memo = {}
-        self._layout = None
+        self._mirror = self._layout = None
 
     def matrix(self, vals: np.ndarray) -> "SectorMatrix":
         """The `SectorMatrix` with `vals` at the pattern's entries, which
@@ -95,11 +95,6 @@ class Pattern:
         M = SectorMatrix(self.n, self.rows, self.cols, vals)
         object.__setattr__(M, "pattern", self)
         return M
-
-    def memo(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def partners(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pattern step of `SectorMatrix.deviation` for a permutation f of
@@ -121,7 +116,9 @@ class Pattern:
     @property
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
         """`partners` of the transpose (r, c) -> (c, r)."""
-        return self.memo("mirror", lambda: self.partners(self.cols, self.rows))
+        if self._mirror is None:
+            self._mirror = self.partners(self.cols, self.rows)
+        return self._mirror
 
     def layout(self, vals: np.ndarray) -> list:
         """`_block_layout` for the nonzero entries of `vals` and those with an
@@ -235,18 +232,10 @@ def _blocks(lab: np.ndarray, cplx: np.ndarray) -> list[tuple[np.ndarray, bool]]:
 
 def _gated(H):
     """H as a `SectorMatrix` at the solver's scale, H * 2**-k, with k and
-    the scale max|H|, after the checks of `eigensolve`.
-
-    A `SectorMatrix` keeps its entries and its `pattern`; any other H is
-    read as a dense array, giving its nonzero entries in row-major order
-    (a -0.0 is a zero like any other).  The shape and the dimension cap are
-    checked before anything of size n^2 is touched; any entry that is inf
-    or NaN is rejected.  The values are float64 when the imaginary part of
-    H is exactly zero, complex128 otherwise.  k is the even exponent that
-    puts max|H| * 2**-k in [1, 4), and the values are multiplied by 2**-k
-    with `np.ldexp` on real and imaginary parts apart, which is exact.
-    The Hermiticity gate compares max|H - H^dag| with 1e-10 max|H| on
-    those values, so H * 2**j passes or fails it as H does.
+    the scale max|H|, after the checks of `eigensolve`.  A `SectorMatrix`
+    keeps its entries and its `pattern`; any other H is read as a dense
+    array, after its shape and the cap are checked, as its nonzero entries
+    in row-major order (a -0.0 is a zero like any other).
     """
     if not isinstance(H, SectorMatrix):
         H = np.asarray(H)
@@ -362,13 +351,9 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     eigenvalues alone and a moment certificate.
 
     H (a `SectorMatrix` or a dense array) is read once as its entries,
-    (row, col, value) triplets, and its pattern's index work (`Pattern`)
-    is done in two steps: a pattern step, run once per pattern and kept on
-    it, and a value step on every call.  A `SectorMatrix` from
-    `chain.chain_matrix` carries its chain shape's pattern, whose index work
-    is already done after the first solve; any other input gets a fresh
-    pattern, and both steps run on the spot.  Every check reads this call's
-    values.
+    (row, col, value) triplets.  The index work on them is kept on H's
+    `Pattern` (a `chain.ChainPlan` for `chain.chain_matrix`), and every
+    check reads this call's values.
 
     Everything runs at one scale: the triplets are multiplied once by 2**-k,
     the even k that puts max|H| * 2**-k in [1, 4), with `np.ldexp` on real
@@ -560,6 +545,9 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
     the state's active variables and must cover them.  Each point supplies
     one complex coordinate per variable.  The state must be normalized to
     1e-10; psi is evaluated with the monomial normalizations restored.
+
+    Raises AmplitudeOverflow at a point where psi(z) or |z|^2 is beyond the
+    float range (Q itself may then be below it).
     """
     if abs(state.norm() - 1.0) > 1e-10:
         raise NotNormalized(f"state norm {state.norm()!r} is not 1 within 1e-10")
@@ -586,13 +574,20 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
         zs = [complex(c) for c in pt]
         if len(zs) != d:
             raise ValueError(f"point has {len(zs)} coordinates, expected {d}")
-        psi = 0j
-        for exps, c in monomials:
-            term = c
-            for zv, e in zip(zs, exps):
-                if e:
-                    term *= zv ** e
-            psi += term
-        r2 = sum(abs(zv) ** 2 for zv in zs)
-        out.append(pref * math.exp(-r2) * abs(psi) ** 2)
+        try:
+            psi = 0j
+            for exps, c in monomials:
+                term = c
+                for zv, e in zip(zs, exps):
+                    if e:
+                        term *= zv ** e
+                psi += term
+            r2 = sum(abs(zv) ** 2 for zv in zs)
+            q = pref * math.exp(-r2) * abs(psi) ** 2
+        except OverflowError:
+            q = math.nan
+        if not math.isfinite(q):
+            raise AmplitudeOverflow(f"psi(z) or |z|^2 at the point {pt!r} is beyond "
+                                    f"the float range")
+        out.append(q)
     return out

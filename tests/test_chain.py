@@ -30,7 +30,8 @@ from bargmann.chain import (
     UNREDUCED_MAX_DIM,
     ChainSpec,
     _bond_tables,
-    _placements,
+    _nbytes,
+    _plans,
     build_hamiltonian,
     chain_matrix,
     mode_difference,
@@ -468,9 +469,16 @@ def plan_cases(draw):
                       hbar=hbar, mode=mode) for J in (first, second)]
 
 
+def plan_of(spec):
+    """The `ChainPlan` that `solve` keeps for the chain shape of `spec`."""
+    plan = chain_matrix(spec).pattern
+    assert _plans[plan.key][0] is plan
+    return plan
+
+
 class TestPlan:
-    """`solve` does the index work once per chain shape (`_placements` and
-    the index maps on its pattern) and only value work on every call."""
+    """`solve` does the index work once per chain shape (its `ChainPlan`,
+    kept in `_plans`) and only value work on every call."""
 
     @given(plan_cases())
     @settings(max_examples=120, deadline=None)
@@ -478,33 +486,55 @@ class TestPlan:
               for J in [(0.8, 1.1, -0.6), (0.25, 0.5, 1.0)]])
     def test_warm_plan_equals_a_cold_solve(self, specs):
         first, second = specs
-        _placements.cache_clear()
+        _plans.clear()
         solve(first)                      # the plan of the shape, built by other couplings
         warm = solve(second)
-        _placements.cache_clear()
+        _plans.clear()
         cold = solve(second)
         assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
         assert warm.residual_bound == cold.residual_bound
 
     def test_one_plan_per_shape_and_pattern_of_h(self):
-        _placements.cache_clear()
+        _plans.clear()
         xyz = ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(1.0, 0.7, 0.3))
         other = [ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(-0.4, 1.9, 2.5), hbar=hbar)
                  for hbar in (Fraction(1), Fraction(2, 3))]
+        solve(xyz)
         pattern = chain_matrix(xyz).pattern
         for spec in other:
+            solve(spec)
             assert chain_matrix(spec).pattern is pattern
-        assert _placements.cache_info().misses == 1
+        assert len(_plans) == 1
         # jx = jy cancels the S+S+ and S-S- entries of h: another pattern, another plan
-        xxz = chain_matrix(ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(0.7, 0.7, 0.3)))
-        assert xxz.pattern is not pattern and xxz.nnz < chain_matrix(xyz).nnz
-        assert _placements.cache_info().misses == 2
-        # the index maps of the reduction are kept on the shape's pattern
+        xxz = ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(0.7, 0.7, 0.3))
+        solve(xxz)
+        assert chain_matrix(xxz).pattern is not pattern
+        assert chain_matrix(xxz).nnz < chain_matrix(xyz).nnz
+        assert len(_plans) == 2
+        # every part of the plan, built on first use, is kept for the next call
         solve(xyz)
-        kept = dict(pattern._memo)
+        plan = plan_of(xyz)
+
+        def parts():
+            gathers = [((names, chars), g) for names, t in plan.tables.items()
+                       for chars, g in t._gathers.items()]
+            # a layout is kept for the nonzero entries of the last values that asked
+            layouts = [(key, g[0]._layout) for key, g in gathers]
+            return [*vars(plan).items(), *plan.tables.items(), *gathers], layouts
+
+        def same(a, b):
+            return [k for k, _ in a] == [k for k, _ in b] and all(
+                x is y for (_, x), (_, y) in zip(a, b))
+
+        kept, layouts = parts()
+        assert plan.maps and plan.tables and plan._mirror is not None
+        assert layouts and all(layout is not None for _, layout in layouts)
         solve(other[0])
-        assert pattern._memo.keys() == kept.keys()
-        assert all(pattern._memo[key] is value for key, value in kept.items())
+        assert plan_of(other[0]) is plan and same(parts()[0], kept)
+        solve(xyz)
+        kept, layouts = parts()
+        solve(xyz)
+        assert same(parts()[0], kept) and same(parts()[1], layouts)
 
     def test_a_pattern_is_shared_only_by_the_matrices_it_makes(self):
         M = chain_matrix(ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(1.0, 0.7, 0.3)))
@@ -533,34 +563,81 @@ class TestPlan:
 
     @staticmethod
     def warm(spec):
-        """The chain matrix of `spec` after a solve has filled its plan."""
+        """The chain matrix of `spec` and its plan, after a solve has filled the plan."""
         solve(spec)
         M = chain_matrix(spec)
-        assert M.pattern is chain_matrix(spec).pattern and M.pattern._memo
-        return M
+        plan = plan_of(spec)
+        assert M.pattern is plan and plan._mirror is not None and plan.tables
+        return M, plan
 
     def test_warm_plan_still_gates_hermiticity(self):
         spec = ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
                          boundary=PERIODIC)
-        M = self.warm(spec)
+        M, plan = self.warm(spec)
         vals = M.vals.copy()
         vals[np.flatnonzero(M.rows < M.cols)[0]] *= 1 + 1e-6    # one side of one pair
         broken = M.pattern.matrix(vals)
-        for reduce in (None, symmetry_reduction(spec)):
+        for reduce in (None, plan.reduce):
             with pytest.raises(NotHermitian):
                 eigensolve(broken, compute_vectors=False, reduce=reduce)
 
     def test_warm_plan_still_gates_translation_invariance(self):
         spec = ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
                          boundary=PERIODIC)
-        M = self.warm(spec)
+        M, plan = self.warm(spec)
         vals = M.vals.copy()
         k = np.flatnonzero(M.rows < M.cols)[0]
         mirror = np.flatnonzero((M.rows == M.cols[k]) & (M.cols == M.rows[k]))
         vals[[k, *mirror]] *= 1 + 1e-6                         # Hermitian, not invariant
         broken = M.pattern.matrix(vals)
         with pytest.raises(RuntimeError, match="not translation invariant"):
-            eigensolve(broken, compute_vectors=False, reduce=symmetry_reduction(spec))
+            eigensolve(broken, compute_vectors=False, reduce=plan.reduce)
+
+
+class TestPlanBudget:
+    """`_plans` keeps at most PLAN_BUDGET bytes of plans, each measured again
+    after every solve, and drops the least recently used first."""
+
+    # N=8 spin-1/2 XXZ and XYZ, periodic and open: four shapes, four plans
+    specs = [ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=J, boundary=boundary)
+             for J in [(1.0, 1.0, 0.5), (1.0, 0.7, 0.3)] for boundary in (PERIODIC, OPEN)]
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """The key and the bytes of each spec's plan, and a setter of PLAN_BUDGET."""
+        import bargmann.chain as chainmod
+        keys, sizes = [], []
+        for spec in self.specs:
+            _plans.clear()
+            solve(spec)
+            (key, (plan, size)), = _plans.items()
+            assert size == _nbytes(plan) > 0
+            keys.append(key)
+            sizes.append(size)
+        _plans.clear()
+        yield keys, sizes, lambda budget: monkeypatch.setattr(chainmod, "PLAN_BUDGET", budget)
+        _plans.clear()
+
+    def test_least_recently_used_plans_are_dropped(self, shapes):
+        keys, (a, b, c, d), set_budget = shapes
+        set_budget(a + b + c)
+        assert d > b        # so dropping the least recently used plan alone leaves no room
+        for i, want in [(0, [0]), (1, [0, 1]), (2, [0, 1, 2]), (0, [1, 2, 0]), (3, [0, 3])]:
+            solve(self.specs[i])
+            assert [keys.index(key) for key in _plans] == want
+            assert sum(size for _, size in _plans.values()) <= a + b + c
+            assert all(size == _nbytes(plan) for plan, size in _plans.values())
+
+    def test_a_plan_over_the_budget_serves_its_call_and_is_not_kept(self, shapes):
+        keys, sizes, set_budget = shapes
+        cold = solve(self.specs[3])
+        set_budget(sizes[3] - 1)
+        _plans.clear()
+        for _ in range(2):
+            got = solve(self.specs[3])
+            assert not _plans
+            assert got.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+            assert got.residual_bound == cold.residual_bound
 
 
 class TestOneCap:

@@ -526,6 +526,20 @@ class TestHusimi:
             "", f"error: a point coordinate must be [re, im], two finite numbers; "
                 f"got {json.loads(json.dumps(coordinate))!r}\n")
 
+    @pytest.mark.parametrize("monomial, point", [
+        ("z[0]", [[1e200, 0]]),                       # |z|^2 beyond the float range
+        ("z[0]^4", [[1e100, 0]]),                     # z^4 beyond it
+        ("z[0]^3 * z[1]^3", [[1e60, 0], [0, 1e60]]),  # psi(z) beyond it, with no exception
+    ])
+    def test_far_point_overflow_exit_2(self, tmp_path, capsys, monomial, point):
+        state = write_state(tmp_path, [{"monomial": monomial, "re": 1.0, "im": 0.0}])
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[[0.5, 0.0]] * len(point), point]}))
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: psi(z) or |z|^2 at the point ")
+        assert err.endswith(" is beyond the float range\n") and err.count("\n") == 1
+
     def test_integer_coordinates_read_as_floats(self, tmp_path, capsys):
         state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
         out = []

@@ -314,7 +314,10 @@ def reference_eigensolve(H, compute_vectors=True, max_dim=MAX_DENSE_DIM):
         A = np.ascontiguousarray(A.real)
     scale = np.abs(A).max() if n else 0.0
     k = solver_exponent(scale)    # gated and solved as A * 2**-k, then scaled back
-    A = _ldexp(A, -k)
+    # + 0.0 makes every zero +0.0: a -0.0, given or from an entry that
+    # underflows at this scale, is a zero like any other, as in `eigensolve`,
+    # and LAPACK's reflector signs would see it in a block
+    A = _ldexp(A, -k) + 0.0
     dev = np.abs(A - A.conj().T).max() if n else 0.0
     if dev > HERMITICITY_TOL * math.ldexp(scale, -k):
         raise NotHermitian(f"max |H - H^dag| = {math.ldexp(dev, k):.3e} > "
@@ -512,6 +515,22 @@ class TestTripletFrontEnd:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         assert_same_as_reference(A)
+        assert_same_as_reference(B)
+
+    def test_entry_underflowing_at_scale_is_zero(self):
+        # the duplicates at (1, 1) sum to -2**-1073, which is -0.0 at the
+        # solver's scale 2**-2; a -0.0 on the diagonal flips the sign of the
+        # eigenvalue near 0 in LAPACK
+        tiny = -5e-324
+        H = sp.coo_matrix(([1.0, 1.0, tiny, tiny, 4.0, 4.0],
+                           ([0, 1, 1, 1, 1, 2], [1, 0, 1, 1, 2, 1])), shape=(3, 3))
+        assert H.toarray()[1, 1] == -1e-323
+        assert solver_exponent(4.0) == 2
+        for form in (H, H.tocsr(), H.toarray()):
+            assert_same_as_reference(form)
+        A = H.toarray().real
+        A[1, 1] = 0.0
+        assert np.array_equal(eigensolve(H.toarray()).eigenvalues, eigensolve(A).eigenvalues)
 
     def test_csr_eigenvalues_allocate_no_square_array(self):
         M = _chain_matrix(10, Fraction(1, 2), (1, 1, 0.5), "periodic")

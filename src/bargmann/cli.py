@@ -238,15 +238,6 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _parse_var(name: str):
-    name = name.strip()
-    if name.startswith("z[") and name.endswith("]"):
-        return z_var(int(name[2:-1]))
-    if name.startswith("w[") and name.endswith("]"):
-        return w_var(int(name[2:-1]))
-    raise ValueError(f"bad variable name {name!r}; expected z[i] or w[i]")
-
-
 def _coordinate(c) -> complex:
     """One phase-space coordinate [re, im]: two finite JSON numbers (no booleans)."""
     if not (type(c) is list and len(c) == 2 and all(map(_finite_number, c))):
@@ -260,7 +251,15 @@ def cmd_husimi(args) -> int:
         obj = json.load(fh)
     variables = None
     if "variables" in obj:
-        variables = [_parse_var(v) for v in obj["variables"]]
+        variables = []
+        for name in obj["variables"]:
+            try:
+                m = parse_monomial(name)
+            except ParseError as e:
+                raise ValueError(f"bad variable name {name!r}: {e}") from None
+            if [exp for _, exp in m.items()] != [1]:
+                raise ValueError(f"bad variable name {name!r}; expected z[i] or w[i]")
+            variables += m.variables()
     points = [[_coordinate(c) for c in pt] for pt in obj["points"]]
     qs = husimi_q(state, points, variables)
     _write_out(args, to_json(qs) + "\n")

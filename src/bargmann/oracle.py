@@ -53,34 +53,34 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
 def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b).
 
-    Each bond's two-site operator sum_k J_k S_k (x) S_k is formed as a
-    (d, d, d, d) array and added once into the view of H that is diagonal on
+    The two-site operator sum_k J_k S_k (x) S_k is formed once as a
+    (d, d, d, d) array and added into the view of H that is diagonal on
     every other site: with a < b, H is indexed as (L, d, M, d, R) x
     (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the view
-    takes equal L, M and R indices on both sides.  Every bond operator is
-    real (S_y (x) S_y is), so H is float64; a nonzero imaginary part in a
-    bond block is an AssertionError.  `check_cap` runs before any allocation.
+    takes equal L, M and R indices on both sides.  The operator is real
+    (S_y (x) S_y is), so H is float64; a nonzero imaginary part in it is an
+    AssertionError.  `check_cap` runs before any allocation.
     """
     d, n = int(2 * spec.spin) + 1, spec.n_sites
     check_cap(d, n)
     dim = d ** n
     mats = spin_matrices(spec.spin, float(spec.hbar))
+    h = np.zeros((d,) * 4, dtype=np.complex128)   # [p, p', q, q'] = <p p'|h|q q'>
+    for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
+        if J != 0.0:
+            h += J * (S[:, None, :, None] * S[None, :, None, :])
+    assert not h.imag.any(), "bond operator is not real"
     H = np.zeros((dim, dim))
     item = H.itemsize
     for (i, j) in spec.bonds():
         a, b = min(i, j), max(i, j)
         M, R = d ** (b - a - 1), d ** (n - b - 1)
-        h = np.zeros((d,) * 4, dtype=np.complex128)   # [p, p', q, q'] = <p p'|h|q q'>
-        for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
-            if J != 0.0:
-                h += J * (S[:, None, :, None] * S[None, :, None, :])
         # (l, m, r) run along the diagonal; p, p' pick rows and q, q' columns
         diag = (dim + 1) * item
         view = as_strided(H, shape=(d ** a, M, R, d, d, d, d),
                           strides=(d * M * d * R * diag, d * R * diag, diag,
                                    M * d * R * dim * item, R * dim * item,
                                    M * d * R * item, R * item))
-        assert not h.imag.any(), "bond operator is not real"
         view += h.real
     return H
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import PolynomialState, Var, monomial_norm_sq
+from .algebra import PolynomialState, Var, monomial_norm_sq, var_name
 from .errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, NotNormalized
 
 MAX_DENSE_DIM = 8192
@@ -107,8 +107,6 @@ class Pattern:
         moved = rows.astype(np.int64) * self.n + cols
         at = np.searchsorted(keys, moved)
         hit = keys[np.minimum(at, nnz - 1)] == moved
-        if hit.all():       # every image is an entry, so every entry is an image
-            return at.astype(np.int32), np.zeros(0, dtype=np.int32)
         missed = np.ones(nnz, dtype=bool)
         missed[at[hit]] = False
         return np.where(hit, at, nnz).astype(np.int32), np.flatnonzero(missed).astype(np.int32)
@@ -179,15 +177,12 @@ class SectorMatrix:
     def deviation(self, partners: tuple[np.ndarray, np.ndarray], conj: bool = False) -> float:
         """max over all (r, c) of |M(r, c) - M(f(r, c))|, M(f(r, c)) conjugated
         with `conj`, for the permutation f of the index pairs whose
-        `Pattern.partners` are given; a missing partner counts as 0."""
-        if not self.nnz:
-            return 0.0
+        `Pattern.partners` are given; an entry that is not stored counts as
+        0, on either side."""
         at, missed = partners
         partner = np.append(self.vals, 0)[at]
-        dev = np.abs(self.vals - (partner.conj() if conj else partner)).max()
-        if len(missed):     # stored entries M(f(r, c)) whose (r, c) is not stored
-            dev = max(dev, np.abs(self.vals[missed]).max())
-        return float(dev)
+        dev = np.abs(self.vals - (partner.conj() if conj else partner)).max(initial=0.0)
+        return float(max(dev, np.abs(self.vals[missed]).max(initial=0.0)))
 
 
 def sum_at(inverse: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
@@ -367,7 +362,20 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     the same for every j.  The Hermiticity deviation pairs each (r, c) with
     its mirror (c, r), a missing mirror counting as 0.
 
-    H is split into the connected components of its nonzero entries
+    Every H is solved through a reduction (K, mult): a Hermitian
+    `SectorMatrix` K and an integer multiplicity for each of its indices,
+    equal within each block of K and summing to the dimension of H, with H
+    unitarily equivalent to the direct sum of K's blocks, each repeated by
+    its multiplicity.  `reduce(M)` returns it for the checked H * 2**-k (as
+    a `SectorMatrix`, with float64 values when H is real); without
+    `reduce`, K is H itself with multiplicity 1 everywhere.  The blocks of
+    K are solved and each block's eigenvalues repeated by its multiplicity,
+    while the gates, the certificate on H against all of its eigenvalues
+    and the cap below still read H, so a reduction that changes tr H or
+    ||H||_F fails the certificate.  Eigenvectors are available only
+    without `reduce`.
+
+    K is split into the connected components of its nonzero entries
     (symmetry sectors show up here without being named; stored zeros join
     nothing); the components of each size are scattered into one (k, s, s)
     stack, real and complex ones apart, and solved at once, in real
@@ -386,18 +394,6 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     ||H||_F^2 summed over the nonzero entries.  Both moments are invariant
     under unitary similarity, and one eigenvalue moved by d gives c1 = d.
 
-    `reduce(M)`, if given, maps the checked H * 2**-k (as a `SectorMatrix`,
-    with float64 values when H is real) to a pair
-    (K, mult): a Hermitian `SectorMatrix` K and an integer multiplicity for
-    each of its indices, equal within each block of K and summing to the
-    dimension of H.  H must be unitarily equivalent to the
-    direct sum of K's blocks, each repeated by its multiplicity.  K is solved
-    in place of H and each block's eigenvalues are repeated by its
-    multiplicity, while the gates, the certificate on H against all of its
-    eigenvalues and the cap below still read H, so a reduction that changes
-    tr H or ||H||_F fails the certificate.  Eigenvectors are then not
-    available.
-
     Raises ValueError for a non-square H or an inf or NaN entry,
     DimensionTooLarge beyond `check_cap` (checked first), NotHermitian when
     max|H - H^dag| > 1e-10 * max|H| entry-wise, and RuntimeError when
@@ -407,20 +403,16 @@ def eigensolve(H, compute_vectors: bool = True, reduce=None) -> Spectrum:
     """
     M, k, scale = _gated(H)
     n = M.n
-    if reduce is not None:
-        if compute_vectors:
-            raise ValueError("eigenvectors are not available for a reduced matrix")
-        K, mult = reduce(M)
-        groups, bound = _block_eigh(K, compute_vectors)
-        repeats = [mult[idx] for idx, _, _ in groups]
-        flat = np.repeat(np.concatenate([w.ravel() for _, w, _ in groups]),
-                         np.concatenate([m.ravel() for m in repeats]))
-        if len(flat) != n or any((m != m[:, :1]).any() for m in repeats):
-            raise RuntimeError("the block multiplicities of the reduction do not sum to "
-                               f"{n} or vary within a block")
-    else:
-        groups, bound = _block_eigh(M, compute_vectors)
-        flat = np.concatenate([w.ravel() for _, w, _ in groups]) if n else np.zeros(0)
+    if reduce is not None and compute_vectors:
+        raise ValueError("eigenvectors are not available for a reduced matrix")
+    K, mult = reduce(M) if reduce is not None else (M, np.ones(n, dtype=np.int64))
+    groups, bound = _block_eigh(K, compute_vectors)
+    repeats = [mult[idx] for idx, _, _ in groups]
+    flat = np.repeat(np.concatenate([np.zeros(0)] + [w.ravel() for _, w, _ in groups]),
+                     np.concatenate([np.zeros(0, dtype=np.int64)] + [m.ravel() for m in repeats]))
+    if len(flat) != n or any((m != m[:, :1]).any() for m in repeats):
+        raise RuntimeError("the block multiplicities of the reduction do not sum to "
+                           f"{n} or vary within a block")
     order = np.argsort(flat, kind="stable")
     eigenvalues = flat[order]
     what = "eigendecomposition residual"
@@ -542,9 +534,10 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
     """Husimi-Q density Q(z) = pi^-d e^(-|z|^2) |psi(z)|^2 at each point.
 
     `variables` fixes the phase-space coordinates (ordered); it defaults to
-    the state's active variables and must cover them.  Each point supplies
-    one complex coordinate per variable.  The state must be normalized to
-    1e-10; psi is evaluated with the monomial normalizations restored.
+    the state's active variables and must cover them, each named once (a
+    ValueError otherwise).  Each point supplies one complex coordinate per
+    variable.  The state must be normalized to 1e-10; psi is evaluated with
+    the monomial normalizations restored.
 
     Raises AmplitudeOverflow at a point where psi(z) or |z|^2 is beyond the
     float range (Q itself may then be below it).
@@ -554,9 +547,13 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
     if variables is None:
         variables = state.active_variables()
     variables = list(variables)
-    missing = set(state.active_variables()) - set(variables)
+    twice = [v for k, v in enumerate(variables) if v in variables[:k]]
+    if twice:
+        raise ValueError(f"variable {var_name(twice[0])} is named more than once")
+    missing = sorted(set(state.active_variables()) - set(variables))
     if missing:
-        raise ValueError(f"variables must cover the state's modes; missing {sorted(missing)}")
+        raise ValueError("variables must cover the state's modes; missing "
+                         + ", ".join(map(var_name, missing)))
     d = len(variables)
     pos = {v: k for k, v in enumerate(variables)}
 

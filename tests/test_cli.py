@@ -540,6 +540,38 @@ class TestHusimi:
         assert out == "" and err.startswith("error: psi(z) or |z|^2 at the point ")
         assert err.endswith(" is beyond the float range\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("variables, message", [
+        # the later column used to win: Q read 0 at z[0] = 1
+        (["z[0]", "z[0]"], "variable z[0] is named more than once"),
+        (["w[1]", "z[0]", " w[1] "], "variable w[1] is named more than once"),
+        (["w[0]", "w[1]"], "variables must cover the state's modes; missing z[0]"),
+        (["z[-1]"], "bad variable name 'z[-1]': unexpected - '-' at 2..3 "
+                    "(expected unsigned integer (site index))"),
+        (["z[0]^2"], "bad variable name 'z[0]^2'; expected z[i] or w[i]"),
+        (["z[0] * w[0]"], "bad variable name 'z[0] * w[0]'; expected z[i] or w[i]"),
+        (["1"], "bad variable name '1'; expected z[i] or w[i]"),
+    ])
+    def test_bad_variables_exit_2(self, tmp_path, capsys, variables, message):
+        state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"variables": variables,
+                                      "points": [[[1, 0]] + [[0, 0]] * (len(variables) - 1)]}))
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_variables_named_in_any_order(self, tmp_path, capsys):
+        state = write_state(tmp_path, [{"monomial": "z[0] * w[1]", "re": 1.0, "im": 0.0}])
+        out = []
+        for variables, point in ((["z[0]", "w[1]"], [[1, 0], [0, 2]]),
+                                 (["w[1]", " z[0]"], [[0, 2], [1, 0]])):
+            points = tmp_path / "points.json"
+            points.write_text(json.dumps({"variables": variables, "points": [point]}))
+            assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 0
+            out.append(capsys.readouterr())
+        assert out[0] == out[1]
+        assert json.loads(out[0].out) == [pytest.approx(4 * math.exp(-5) / math.pi ** 2,
+                                                        rel=1e-12)]
+
     def test_integer_coordinates_read_as_floats(self, tmp_path, capsys):
         state = write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0, "im": 0.0}])
         out = []

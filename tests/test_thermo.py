@@ -169,6 +169,7 @@ BLOCKED_CASES = {
     "dense_random": lambda: _random_hermitian(30),
     "diagonal": lambda: np.diag(np.random.default_rng(5).normal(size=20)),
     "empty": lambda: np.zeros((0, 0)),
+    "zero": lambda: np.zeros((3, 3)),
     "single": lambda: np.array([[2.5]]),
 }
 
@@ -193,6 +194,15 @@ class TestBlockedEigensolve:
         assert np.abs(V.conj().T @ V - np.eye(n)).max(initial=0.0) <= 1e-12
         residual = np.linalg.norm(A @ V - V * s.eigenvalues, axis=0)
         assert residual.max(initial=0.0) <= s.residual_bound + 1e-14 * np.abs(A).max(initial=0.0)
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_no_reduce_is_the_identity_reduction(self, case):
+        H = BLOCKED_CASES[case]()
+        plain = eigensolve(H, compute_vectors=False)
+        same = eigensolve(H, compute_vectors=False,
+                          reduce=lambda M: (M, np.ones(M.n, dtype=np.int64)))
+        assert plain.eigenvalues.tobytes() == same.eigenvalues.tobytes()
+        assert plain.residual_bound == same.residual_bound
 
     def test_complex_case_is_complex(self):
         M = _complex_dsl_matrix()
@@ -243,6 +253,14 @@ class TestBlockedGates:
         g = np.array([1, 2, 3, 0])
         assert M.deviation(M.pattern.partners(g[M.rows], g[M.cols])) == 5.0
         assert M.deviation(M.pattern.mirror, conj=True) == 0.0
+
+    def test_partners_when_every_image_is_an_entry(self):
+        M = SectorMatrix(3, np.array([0, 0, 1, 2]), np.array([0, 2, 1, 0]),
+                         np.array([1.0, 2.0, 3.0, 2.5]))
+        at, missed = M.pattern.mirror
+        assert at.dtype == missed.dtype == np.int32
+        assert at.tolist() == [0, 3, 2, 1] and missed.tolist() == []
+        assert M.deviation(M.pattern.mirror, conj=True) == 0.5
 
     def test_hermiticity_gate_scales_with_max_entry(self):
         # one ulp of 1e8 is 1.5e-8, above an absolute 1e-10 but float noise on

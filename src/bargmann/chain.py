@@ -360,15 +360,15 @@ class ChainPlan(Pattern):
       the invariance checks, by their names, each keeping the maps into K
       and K's `Pattern` per set of kept characters.
 
-    `key` is the chain shape: 2s, n_sites, the boundary and the nonzero
-    pattern of the bond matrix h, never a coupling, hbar or mode value.
-    The layouts and `tables` are built on first use.
+    One plan serves every chain of a shape: 2s, n_sites, the boundary and
+    the nonzero pattern of the bond matrix h, never a coupling, hbar or
+    mode value (`chain_matrix` keeps it per shape).  The layouts and
+    `tables` are built on first use.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray,
-                 at=None, shape=None, key=None):
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, at=None, shape=None):
         super().__init__(n, rows, cols)
-        self.at, self.key, self.tables = at, key, {}
+        self.at, self.tables = at, {}
         self.maps = self.parity = None
         if shape is None:
             return
@@ -416,7 +416,7 @@ def symmetry_reduction(spec: ChainSpec):
     Invariance means max|M(gr, gc) - M(r, c)| <= 1e-12 max|M|.
 
     Each call builds a `ChainPlan` on M's entries for its pattern step;
-    `solve` reuses the one it keeps for the chain shape.
+    `solve` reuses the one `chain_matrix` keeps for the chain shape.
 
     Raises RuntimeError when a periodic chain's M is not translation invariant.
     """
@@ -474,61 +474,51 @@ def _plan(twos: int, n_sites: int, boundary: str, h_keys: bytes) -> ChainPlan:
     dim, dd = d ** n_sites, d * d
     bonds = bond_list(n_sites, boundary)
     h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
-    rows = cols = np.zeros(0, dtype=np.int64)
-    if bonds and len(h_rows):
-        i, j = np.array(bonds).T
-        place = d ** np.arange(n_sites - 1, -1, -1)      # index weight of each site's digit
-        digits = np.arange(dim)[:, None] // place % d
-        # per bond, the states with digit 0 at both of its sites, ascending
-        base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
-        base = base.reshape(len(bonds), 1, dim // dd)
+    i, j = np.array(bonds, dtype=np.int64).reshape(-1, 2).T
+    place = d ** np.arange(n_sites - 1, -1, -1)      # index weight of each site's digit
+    digits = np.arange(dim)[:, None] // place % d
+    # per bond, the states with digit 0 at both of its sites, ascending
+    base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
+    base = base.reshape(len(bonds), 1, dim // dd)
 
-        def shift(local):      # (bond, entry) -> index offset of the local digits
-            return local // d * place[i][:, None] + local % d * place[j][:, None]
+    def shift(local):      # (bond, entry) -> index offset of the local digits
+        return local // d * place[i][:, None] + local % d * place[j][:, None]
 
-        rows = (base + shift(h_rows)[:, :, None]).ravel()
-        cols = (base + shift(h_cols)[:, :, None]).ravel()
+    rows = (base + shift(h_rows)[:, :, None]).ravel()
+    cols = (base + shift(h_cols)[:, :, None]).ravel()
     keys, at = np.unique(rows * dim + cols, return_inverse=True)
     rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
     at = at.astype(np.int32)
     for a in (rows, cols, at):
         a.flags.writeable = False
     shape = (d, n_sites, boundary) if dim > UNREDUCED_MAX_DIM else None
-    return ChainPlan(dim, rows, cols, at, shape, (twos, n_sites, boundary, h_keys))
+    return ChainPlan(dim, rows, cols, at, shape)
 
 
-PLAN_BUDGET = 64 * 2 ** 20     # bytes of plans kept: two of N=16 periodic XXZ (30 MiB each)
-_plans = collections.OrderedDict()     # shape -> (ChainPlan, its bytes), least recently used first
+PLAN_BUDGET = 800_000     # entries of M in the plans kept: 26-77 B each measured, so < 64 MiB
+_plans = collections.OrderedDict()     # shape -> ChainPlan, least recently used first
 _plans_lock = threading.Lock()
 
 
-def _nbytes(x) -> int:
-    """The bytes of the arrays and byte strings reachable from x through
-    attributes, dicts, lists and tuples."""
-    if isinstance(x, np.ndarray):
-        return x.nbytes
-    if isinstance(x, bytes):
-        return len(x)
-    x = vars(x) if hasattr(x, "__dict__") else x
-    if isinstance(x, dict):
-        x = x.values()
-    elif not isinstance(x, (list, tuple)):
-        return 0
-    return sum(map(_nbytes, x))
-
-
-def _keep(plan: ChainPlan):
-    """Keep `plan`, measured again, as the most recently used, and drop the
-    least recently used plans until the rest hold at most PLAN_BUDGET
-    bytes.  A plan over the budget on its own is not kept."""
-    size = _nbytes(plan)
+def _kept_plan(key) -> ChainPlan:
+    """The `ChainPlan` of the shape `key`, the arguments of `_plan`, as the
+    most recently used.  A new plan is kept when it has at most PLAN_BUDGET
+    entries, and the least recently used plans are then dropped until the
+    kept entries sum to at most PLAN_BUDGET; a larger one serves its call
+    alone and drops nothing."""
     with _plans_lock:
-        _plans.pop(plan.key, None)
-        if size <= PLAN_BUDGET:
-            _plans[plan.key] = (plan, size)
-        total = sum(b for _, b in _plans.values())
-        while total > PLAN_BUDGET:
-            total -= _plans.popitem(last=False)[1][1]
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    plan = _plan(*key)
+    if len(plan.rows) <= PLAN_BUDGET:
+        with _plans_lock:
+            _plans[key] = plan
+            kept = sum(len(p.rows) for p in _plans.values())
+            while kept > PLAN_BUDGET:
+                kept -= len(_plans.popitem(last=False)[1].rows)
+    return plan
 
 
 def chain_matrix(spec: ChainSpec) -> SectorMatrix:
@@ -540,7 +530,7 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     `spec.bonds()` order; the values are float64 when h is real.  The
     entries are the union of the placements, so one whose contributions
     cancel is a stored zero.  The matrix's `pattern` is the shape's
-    `ChainPlan`: the one `solve` keeps, or a new one, which is not kept.
+    `ChainPlan`, kept for the next call on the shape (`_kept_plan`).
 
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
@@ -554,9 +544,7 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
             parts += [(T.rows, T.cols, J * T.vals)
                       for J, T in zip(spec.couplings, tables) if J != 0.0]
     h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
-    key = (d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
-    kept = _plans.get(key)      # read once: another thread may drop it
-    plan = kept[0] if kept else _plan(*key)
+    plan = _kept_plan((d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes()))
     h_vals = h.vals if h.vals.imag.any() else h.vals.real
     placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, plan.n // (d * d)))
     M = plan.matrix(sum_at(plan.at, placed.ravel(), len(plan.rows)))
@@ -573,11 +561,11 @@ def solve(spec: ChainSpec) -> Spectrum:
     smaller one is solved unreduced, in the blocks of its nonzero pattern
     alone.  The checks of `eigensolve` run on the sector matrix either way.
 
-    The index work is the chain shape's `ChainPlan`, kept for the next
-    solve of the shape within PLAN_BUDGET bytes.  Every call computes
-    values alone, in the same order, so its result is the same to the bit
-    cold or warm, and runs every gate on its own values.  The saving is for
-    a process that solves one shape again (a coupling scan, `verify
+    The index work is the chain shape's `ChainPlan`, which `chain_matrix`
+    keeps within PLAN_BUDGET entries.  Every call computes values alone,
+    in the same order, so its result is the same to the bit cold or warm,
+    and runs every gate on its own values.  The saving is for a process
+    that solves one shape again (a coupling scan, `verify
     --random-trials`); a one-shot call builds the plan once and never reads
     it again.
 
@@ -586,8 +574,5 @@ def solve(spec: ChainSpec) -> Spectrum:
     """
     check_dimension(spec)
     M = chain_matrix(spec)
-    plan = M.pattern
-    spectrum = eigensolve(M, compute_vectors=False,
-                          reduce=plan.reduce if plan.maps is not None else None)
-    _keep(plan)
-    return spectrum
+    return eigensolve(M, compute_vectors=False,
+                      reduce=M.pattern.reduce if M.pattern.maps is not None else None)

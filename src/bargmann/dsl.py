@@ -20,6 +20,7 @@ Exponents above 64 raise ExponentOverflow.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,44 +63,18 @@ class _Token(NamedTuple):
     end: int
 
 
-_PUNCT = set("+-*^()[],/")
-_DIGITS = set("0123456789")
+_TOKEN = re.compile(r"(?P<number>[0-9]+(?:\.[0-9]+)?)|(?P<name>[A-Za-z]+)"
+                    r"|[-+*^()\[\],/]|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            toks.append(_Token("number", text[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha() and c.isascii():
-            j = i + 1
-            while j < n and text[j].isalpha() and text[j].isascii():
-                j += 1
-            toks.append(_Token("name", text[i:j], i, j))
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(c, c, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", (i, i + 1),
-                         ("number", "symbol", "operator"))
-    toks.append(_Token("end", "", n, n))
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.span(),
+                             ("number", "symbol", "operator"))
+        toks.append(_Token(m.lastgroup or m[0], m[0], *m.span()))
+    toks.append(_Token("end", "", len(text), len(text)))
     return toks
 
 

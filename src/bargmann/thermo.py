@@ -80,10 +80,10 @@ class Pattern:
       complex entries of the last values that asked (one layout is kept).
 
     `matrix(vals)` puts values on the pattern.  The pattern of a chain's
-    sector matrix is the shape's `chain.ChainPlan`, which `chain.solve`
-    keeps; any other `SectorMatrix` gets a pattern of its own, on which
-    both steps run on the spot.  Index maps are int32, so a pattern holds
-    fewer than 2**31 entries."""
+    sector matrix is the shape's `chain.ChainPlan`, which
+    `chain.chain_matrix` keeps; any other `SectorMatrix` gets a pattern of
+    its own, on which both steps run on the spot.  Index maps are int32, so
+    a pattern holds fewer than 2**31 entries."""
 
     def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
         self.n, self.rows, self.cols = n, rows, cols
@@ -537,7 +537,9 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
     the state's active variables and must cover them, each named once (a
     ValueError otherwise).  Each point supplies one complex coordinate per
     variable.  The state must be normalized to 1e-10; psi is evaluated with
-    the monomial normalizations restored.
+    the monomial normalizations restored.  Where the product of the factors
+    underflows to 0 with psi(z) != 0, Q is the exponential of the sum of
+    their logs.
 
     Raises AmplitudeOverflow at a point where psi(z) or |z|^2 is beyond the
     float range (Q itself may then be below it).
@@ -581,6 +583,8 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
                 psi += term
             r2 = sum(abs(zv) ** 2 for zv in zs)
             q = pref * math.exp(-r2) * abs(psi) ** 2
+            if q == 0 and psi != 0:     # a factor underflowed: the product in logs
+                q = math.exp(math.log(pref) - r2 + 2 * math.log(abs(psi)))
         except OverflowError:
             q = math.nan
         if not math.isfinite(q):

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +32,6 @@ from bargmann.chain import (
     UNREDUCED_MAX_DIM,
     ChainSpec,
     _bond_tables,
-    _nbytes,
     _plans,
     build_hamiltonian,
     chain_matrix,
@@ -470,9 +471,9 @@ def plan_cases(draw):
 
 
 def plan_of(spec):
-    """The `ChainPlan` that `solve` keeps for the chain shape of `spec`."""
+    """The `ChainPlan` that `chain_matrix` keeps for the chain shape of `spec`."""
     plan = chain_matrix(spec).pattern
-    assert _plans[plan.key][0] is plan
+    assert any(kept is plan for kept in _plans.values())
     return plan
 
 
@@ -536,6 +537,16 @@ class TestPlan:
         solve(xyz)
         assert same(parts()[0], kept) and same(parts()[1], layouts)
 
+    def test_chain_matrix_keeps_the_plan_that_solve_reuses(self):
+        spec = ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        _plans.clear()
+        plan = chain_matrix(spec).pattern
+        (kept,) = _plans.values()
+        assert kept is plan and not plan.tables
+        solve(spec)
+        assert plan_of(spec) is plan and plan.tables and len(_plans) == 1
+
     def test_a_pattern_is_shared_only_by_the_matrices_it_makes(self):
         M = chain_matrix(ChainSpec(n_sites=5, spin=Fraction(3, 2), couplings=(1.0, 0.7, 0.3)))
         assert M.pattern.matrix(2 * M.vals).pattern is M.pattern
@@ -595,8 +606,8 @@ class TestPlan:
 
 
 class TestPlanBudget:
-    """`_plans` keeps at most PLAN_BUDGET bytes of plans, each measured again
-    after every solve, and drops the least recently used first."""
+    """`_plans` keeps plans of at most PLAN_BUDGET entries of M in all, each
+    counted when it is built, and drops the least recently used first."""
 
     # N=8 spin-1/2 XXZ and XYZ, periodic and open: four shapes, four plans
     specs = [ChainSpec(n_sites=8, spin=Fraction(1, 2), couplings=J, boundary=boundary)
@@ -604,19 +615,22 @@ class TestPlanBudget:
 
     @pytest.fixture
     def shapes(self, monkeypatch):
-        """The key and the bytes of each spec's plan, and a setter of PLAN_BUDGET."""
+        """The key and the entries of each spec's plan, and a setter of PLAN_BUDGET."""
         import bargmann.chain as chainmod
         keys, sizes = [], []
         for spec in self.specs:
             _plans.clear()
             solve(spec)
-            (key, (plan, size)), = _plans.items()
-            assert size == _nbytes(plan) > 0
+            (key, plan), = _plans.items()
             keys.append(key)
-            sizes.append(size)
+            sizes.append(len(plan.rows))
         _plans.clear()
         yield keys, sizes, lambda budget: monkeypatch.setattr(chainmod, "PLAN_BUDGET", budget)
         _plans.clear()
+
+    @staticmethod
+    def kept_entries():
+        return sum(len(plan.rows) for plan in _plans.values())
 
     def test_least_recently_used_plans_are_dropped(self, shapes):
         keys, (a, b, c, d), set_budget = shapes
@@ -625,8 +639,7 @@ class TestPlanBudget:
         for i, want in [(0, [0]), (1, [0, 1]), (2, [0, 1, 2]), (0, [1, 2, 0]), (3, [0, 3])]:
             solve(self.specs[i])
             assert [keys.index(key) for key in _plans] == want
-            assert sum(size for _, size in _plans.values()) <= a + b + c
-            assert all(size == _nbytes(plan) for plan, size in _plans.values())
+            assert self.kept_entries() <= a + b + c
 
     def test_a_plan_over_the_budget_serves_its_call_and_is_not_kept(self, shapes):
         keys, sizes, set_budget = shapes
@@ -638,6 +651,51 @@ class TestPlanBudget:
             assert not _plans
             assert got.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
             assert got.residual_bound == cold.residual_bound
+
+    def test_a_plan_over_the_budget_leaves_the_kept_plans(self, shapes):
+        keys, sizes, set_budget = shapes
+        set_budget(sizes[3] - 1)
+        assert sizes[0] <= sizes[3] - 1
+        solve(self.specs[0])
+        kept = dict(_plans)
+        solve(self.specs[3])
+        assert list(_plans) == [keys[0]] and _plans[keys[0]] is kept[keys[0]]
+        assert self.kept_entries() == sizes[0]
+
+    def test_threads_share_the_cache_within_the_budget(self, monkeypatch):
+        import bargmann.chain as chainmod
+        specs = [ChainSpec(n_sites=n, spin=Fraction(1, 2), couplings=J, boundary=boundary)
+                 for n in (4, 5, 6) for J in [(1.0, 1.0, 0.5), (1.0, 0.7, 0.3)]
+                 for boundary in (OPEN, PERIODIC)]
+        want = [chain_matrix(spec).vals.tobytes() for spec in specs]
+        budget = 2 * max(len(chain_matrix(spec).rows) for spec in specs)
+        monkeypatch.setattr(chainmod, "PLAN_BUDGET", budget)
+        _plans.clear()
+        failures = []
+
+        def work(stride):
+            try:
+                for i in range(150):
+                    k = i * stride % len(specs)
+                    assert chain_matrix(specs[k]).vals.tobytes() == want[k]
+                    with chainmod._plans_lock:
+                        assert self.kept_entries() <= budget
+            except Exception as e:      # a thread's failure is reported by the test
+                failures.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(stride,)) for stride in (1, 5, 7, 11)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not failures
+        assert 0 < self.kept_entries() <= budget
+        _plans.clear()
 
 
 class TestOneCap:

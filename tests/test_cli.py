@@ -540,6 +540,15 @@ class TestHusimi:
         assert out == "" and err.startswith("error: psi(z) or |z|^2 at the point ")
         assert err.endswith(" is beyond the float range\n") and err.count("\n") == 1
 
+    def test_far_point_with_an_underflowing_factor(self, tmp_path, capsys):
+        # e^-900 is below the float range, Q = e^-900 900^64 / (64! pi) is not
+        state = write_state(tmp_path, [{"monomial": "z[0]^64", "re": 1.0, "im": 0.0}])
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[[30, 0]]]}))
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 0
+        want = math.exp(64 * math.log(900) - 900 - math.lgamma(65) - math.log(math.pi))
+        assert json.loads(capsys.readouterr().out) == [pytest.approx(want, rel=1e-12, abs=0)]
+
     @pytest.mark.parametrize("variables, message", [
         # the later column used to win: Q read 0 at z[0] = 1
         (["z[0]", "z[0]"], "variable z[0] is named more than once"),

@@ -41,7 +41,6 @@ from .errors import (
     DimensionTooLarge,
     NotHermitian,
     NotNormalized,
-    SectorViolation,
 )
 from .oracle import (
     SpectrumComparison,

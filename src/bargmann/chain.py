@@ -39,7 +39,7 @@ from .algebra import (
     z_var,
 )
 from .angular import j_operator
-from .errors import AmplitudeOverflow, SectorViolation
+from .errors import AmplitudeOverflow
 from .thermo import Pattern, SectorMatrix, Spectrum, check_cap, eigensolve, sum_at
 
 OPEN = "open"
@@ -197,19 +197,6 @@ def mode_difference(spec: ChainSpec) -> OperatorPolynomial:
     """literal-mode minus compositional-mode Hamiltonian, canonical form."""
     return _on_bonds(_bond(spec.couplings, spec.hbar, PAPER_LITERAL)
                      - _bond(spec.couplings, spec.hbar, COMPOSITIONAL), spec)
-
-
-def _check_sector_preserving(H: OperatorPolynomial):
-    for t in H.terms():
-        net: dict[int, int] = {}
-        for v, e in t.mult.items():
-            net[v.site] = net.get(v.site, 0) + e
-        for v, e in t.deriv.items():
-            net[v.site] = net.get(v.site, 0) - e
-        bad = {s: d for s, d in net.items() if d != 0}
-        if bad:
-            raise SectorViolation(
-                f"term does not conserve per-site boson number at sites {sorted(bad)}")
 
 
 class SymmetryTables:
@@ -430,11 +417,10 @@ def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ..
     with coupling 1 on axis a, indexed by a_0 d + a_1 (d = 2s+1): column
     a_0 d + a_1 holds `apply` of the bond on z_0^a_0 w_0^(2s-a_0)
     z_1^a_1 w_1^(2s-a_1), each resulting monomial m at row
-    m[z_0] d + m[z_1].  A bond's H is linear in the couplings, so
+    m[z_0] d + m[z_1] (each bond term keeps both sites' boson numbers, so m
+    is a sector state).  A bond's H is linear in the couplings, so
     sum_a J_a T_a is the bond (0, 1) of any chain with these spin, hbar and
     mode.  Cached per process; the arrays are read-only.
-
-    Raises SectorViolation if a bond term changes a site's boson number.
     """
     d = twos + 1
     z0, w0, z1, w1 = z_var(0), w_var(0), z_var(1), w_var(1)
@@ -443,7 +429,6 @@ def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ..
     tables = []
     for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         bond = _bond(unit, hbar, mode)
-        _check_sector_preserving(bond)
         rows, cols, vals = [], [], []
         for col, ket in enumerate(kets):
             for m, amp in apply(bond, PolynomialState.monomial(ket)).items():

@@ -13,7 +13,6 @@ Exit codes:
        an eigenvalue, or psi(z) or |z|^2 at a Husimi point beyond the float
        range)
     3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
-    4  sector violation (operator does not conserve per-site boson number)
 
 Units: k_B = 1, temperatures in energy units; hbar defaults to 1.
 """
@@ -51,7 +50,7 @@ from .chain import (
     solve,
 )
 from .dsl import ParseError, format_monomial, format_operator, parse, parse_monomial
-from .errors import DimensionTooLarge, NotNormalized, SectorViolation
+from .errors import DimensionTooLarge, NotNormalized
 from .oracle import compare_spectra, oracle_hamiltonian
 from .thermo import (
     _f12,
@@ -70,7 +69,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIM_TOO_LARGE = 3
-EXIT_SECTOR_VIOLATION = 4
 
 _parser = None    # built by the first `main` call and reused: parsing keeps no state in it
 
@@ -352,10 +350,7 @@ def main(argv=None) -> int:
     except DimensionTooLarge as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DIM_TOO_LARGE
-    except SectorViolation as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_SECTOR_VIOLATION
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BAD_INPUT
 

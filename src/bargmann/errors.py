@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class SectorViolation(ValueError):
-    """An operator or state left the fixed per-site boson-number sector."""
-
-
 class DimensionTooLarge(ValueError):
     """Requested Hilbert-space dimension exceeds the configured cap."""
 

@@ -26,8 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from bargmann.algebra import MultiIndex, apply_term, w_var, z_var
-from bargmann.chain import _check_sector_preserving, build_hamiltonian
-from bargmann.errors import SectorViolation
+from bargmann.chain import build_hamiltonian
 from bargmann.thermo import SectorMatrix
 
 
@@ -51,10 +50,8 @@ def _index(spin, n_sites) -> dict:
 
 
 def index_of(spec, m: MultiIndex) -> int:
-    try:
-        return _index(spec.spin, spec.n_sites)[m]
-    except KeyError:
-        raise SectorViolation(f"{m!r} is not a sector basis state") from None
+    """The index of sector state `m`; KeyError if `m` is not one."""
+    return _index(spec.spin, spec.n_sites)[m]
 
 
 def site_magnetization(m: MultiIndex, site: int) -> Fraction:
@@ -81,8 +78,8 @@ def as_sector_matrix(A):
 
 def reference_assemble(H, spec):
     """H on the sector of `spec` as a scipy CSR matrix: a column-by-column,
-    term-by-term loop over the enumerated states."""
-    _check_sector_preserving(H)
+    term-by-term loop over the enumerated states.  A term that leaves the
+    sector raises KeyError at `index_of`."""
     rows, cols, vals = [], [], []
     for col, ket in enumerate(states(spec)):
         for t in H.terms():

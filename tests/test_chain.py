@@ -31,6 +31,7 @@ from bargmann.chain import (
     PERIODIC,
     UNREDUCED_MAX_DIM,
     ChainSpec,
+    _bond,
     _bond_tables,
     _plans,
     build_hamiltonian,
@@ -39,7 +40,7 @@ from bargmann.chain import (
     solve,
     symmetry_reduction,
 )
-from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, SectorViolation
+from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian
 from bargmann.thermo import SectorMatrix, eigensolve
 
 from reference import (
@@ -149,7 +150,7 @@ class TestSectorBasis:
         spec = xxx_spec(2)
         for i, m in enumerate(states(spec)):
             assert index_of(spec, m) == i
-        with pytest.raises(SectorViolation):
+        with pytest.raises(KeyError):
             index_of(spec, MultiIndex({z_var(0): 2}))
 
 
@@ -250,12 +251,23 @@ class TestSectorMatrix:
         M = chain_matrix(spec).toarray()
         assert np.abs(M - M.conj().T).max() < 1e-12
 
-    def test_sector_violation(self, monkeypatch, cold_bond_tables):
-        import bargmann.chain as chainmod
-        bare_z = single_term(1, {z_var(0): 1}, {})
-        monkeypatch.setattr(chainmod, "_bond", lambda couplings, hbar, mode: bare_z)
-        with pytest.raises(SectorViolation):
-            chain_matrix(xxx_spec(2))
+    @pytest.mark.parametrize("mode", [COMPOSITIONAL, PAPER_LITERAL])
+    @pytest.mark.parametrize("hbar", [Fraction(1), Fraction(2, 3)], ids=str)
+    def test_bond_keeps_each_site_boson_number(self, mode, hbar):
+        # every term multiplies each site by as many bosons as it differentiates
+        # away, so the bond tables stay in the sector.  A term's exponents depend
+        # on neither hbar nor the couplings, so the unit couplings cover every bond.
+        def per_site(m):
+            out = Counter()
+            for v, e in m.items():
+                out[v.site] += e
+            return out
+
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            terms = _bond(unit, hbar, mode).terms()
+            assert terms
+            for t in terms:
+                assert per_site(t.mult) == per_site(t.deriv), t
 
 
 class TestMagnetizationBlocks:

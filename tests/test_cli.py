@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from bargmann import cli
-from bargmann.algebra import single_term, z_var
 from bargmann.chain import ChainSpec
 from bargmann.dsl import format_monomial
 
@@ -207,14 +206,6 @@ class TestDiag:
         assert out == ""
         assert err.startswith("error: amplitude of a term acting on")
         assert err.endswith("is beyond the float range\n")
-
-    def test_sector_violation_exit_4(self, tmp_path, monkeypatch, cold_bond_tables):
-        # the bond tables are filled from the patched bond
-        import bargmann.chain as chainmod
-        spec = write_spec(tmp_path)
-        monkeypatch.setattr(chainmod, "_bond",
-                            lambda couplings, hbar, mode: single_term(1, {z_var(0): 1}, {}))
-        assert cli.main(["diag", "--spec", spec]) == 4
 
 
 class TestThermo:

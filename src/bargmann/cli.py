@@ -1,7 +1,8 @@
 """Batch command-line surface.
 
 Subcommands: basis | diag | thermo | verify | apply | husimi.  All output is
-deterministic: identical inputs and seed produce byte-identical bytes.
+deterministic at a fixed BLAS thread count: identical inputs and seed produce
+byte-identical bytes (LAPACK's last bits can change with the thread count).
 
 Exit codes:
     0  success (for `verify`: spectra agree within tolerance)

@@ -1,8 +1,8 @@
 """Eigensolving, partition-function thermodynamics, and Husimi-Q densities.
 
 Conventions: k_B = 1 (temperatures in energy units), natural logarithms.
-Entropy is computed algebraically as (<E> - F)/T, exact for a finite
-spectrum.
+Thermodynamics uses the excitation energies E - E0: S = log W + <E - E0>/T,
+with no cancellation at any temperature.
 """
 
 from __future__ import annotations
@@ -451,10 +451,10 @@ def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
 
 def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     """Z, F, S, <E> (k_B = 1) at each T of an ascending grid of positive, finite
-    temperatures, overflow-safe as Z = e^(-E0/T) W, W = sum e^(-(En-E0)/T), with
-    the weights of up to SWEEP_CHUNK // dim temperatures formed at once.  Where
-    1/T overflows, the T -> 0+ limit is taken: weight 1 on the levels equal to
-    E0 and 0 above, so Z is inf, W or 0 as E0 is below, at or above 0."""
+    temperatures, from dE = E - E0 by one formula at every T: w = e^(-dE/T),
+    W = sum w, U = sum w dE, F = E0 - T log W, S = log W + (U/W)/T, <E> = E0 + U/W
+    and Z = e^(-E0/T + log W).  Levels at E0 weigh 1 and an overflowing dE/T weighs
+    0; the weights of up to SWEEP_CHUNK // dim temperatures are formed at once."""
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
@@ -468,24 +468,23 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     if len(E) == 0:
         raise ValueError("empty spectrum")
     e0 = float(E[0])
+    dE = E - e0
     points = []
     step = max(1, SWEEP_CHUNK // len(E))
     for lo in range(0, len(grid), step):
         temps = grid[lo:lo + step]
-        with np.errstate(over="ignore", invalid="ignore"):   # 1/T, and inf * 0 at E0
-            betas = 1.0 / np.array(temps)
-            w = np.exp(-betas[:, None] * (E - e0))
-        w[np.ix_(np.isinf(betas), E == e0)] = 1.0
+        with np.errstate(over="ignore"):                     # dE/T past the float range
+            w = dE / -np.array(temps)[:, None]
+        np.exp(w, out=w)
         Ws = w.sum(axis=1).tolist()
-        EWs = np.multiply(w, E, out=w).sum(axis=1).tolist()
-        for T, beta, W, EW in zip(temps, betas.tolist(), Ws, EWs):
+        Us = np.multiply(w, dE, out=w).sum(axis=1).tolist()
+        for T, W, U in zip(temps, Ws, Us):
             log_w = math.log(W)
             try:
-                Z = math.exp((-beta * e0 if e0 else 0.0) + log_w)
+                Z = math.exp(-e0 / T + log_w)
             except OverflowError:
                 Z = math.inf
-            F = e0 - T * log_w
-            points.append(ThermoPoint(T, Z, F, (EW / W - F) / T, EW / W))
+            points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w + U / W / T, e0 + U / W))
     return points
 
 

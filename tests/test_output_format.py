@@ -64,10 +64,10 @@ def test_thermo_json(files, capsys):
     argv = ["thermo", "--spec", files["spec"], "--temps", "1e-4,1e-3", "--format", "json"]
     assert run(capsys, argv) == (0, (
         '{"points": [{"T": 1.0000000000000000e-04, "Z": Infinity, '
-        '"F": -2.5006931471805599e-01, "S": 6.9314718055990543e-01, '
+        '"F": -2.5006931471805599e-01, "S": 6.9314718055994529e-01, '
         '"E_mean": -2.5000000000000000e-01}, '
         '{"T": 1.0000000000000000e-03, "Z": 7.4929092290053603e+108, '
-        '"F": -2.5069314718055996e-01, "S": 6.9314718055996094e-01, '
+        '"F": -2.5069314718055996e-01, "S": 6.9314718055994529e-01, '
         '"E_mean": -2.5000000000000000e-01}]}\n'), "")
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from bargmann import thermo
 from bargmann.algebra import MultiIndex, PolynomialState, w_var, z_var
@@ -888,6 +889,57 @@ class TestThermoSweep:
             thermo_sweep(s, [-1.0])
         with pytest.raises(ValueError, match="all temperatures must be finite"):
             thermo_sweep(s, [1.0, math.inf])
+
+
+def xxx3_open_spectrum():
+    """Spin-1/2 N=3 open XXX: a doubly degenerate ground level, 8 levels."""
+    return solve(ChainSpec(n_sites=3, spin=HALF, couplings=(1, 1, 1)))
+
+
+@st.composite
+def spectra_and_grids(draw):
+    """Ascending levels in [-1e3, 1e3] (the lowest repeated up to 3 more times) whose
+    nonzero gaps are normal floats, and an ascending grid of T in [1e-320, 1e307]."""
+    levels = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=12))
+    levels.sort()
+    levels[:0] = [levels[0]] * draw(st.integers(0, 3))
+    assume(all(g == 0 or g >= sys.float_info.min for g in np.diff(levels)))
+    grid = sorted(10.0 ** e for e in draw(st.lists(st.floats(-320, 307), min_size=1, max_size=8)))
+    return levels, grid
+
+
+class TestEntropyAtBothEnds:
+    """S = log W + <E - E0>/T: the ground degeneracy as T -> 0, log dim as T grows."""
+
+    @pytest.mark.parametrize("spectrum", [
+        lambda: solve(ChainSpec(n_sites=2, spin=HALF, couplings=(-0.1, -0.1, -0.1))),
+        lambda: solve(ChainSpec(n_sites=2, spin=HALF, couplings=(-0.7, -0.7, -0.7))),
+        lambda: Spectrum(np.array([0.1, 0.1, 0.1, 1.0])),
+    ], ids=["ferromagnet-0.1", "ferromagnet-0.7", "levels"])
+    def test_triplet_ground_level(self, spectrum):
+        for p in thermo_sweep(spectrum(), [1e-300, 1e-20, 1e-5]):
+            assert p.entropy == pytest.approx(math.log(3), rel=1e-15, abs=0), p.temperature
+
+    def test_doublet_ground_level(self):
+        for p in thermo_sweep(xxx3_open_spectrum(), [5e-324, 1e-300, 1e-16, 1e-15, 1e-12]):
+            assert p.entropy == pytest.approx(math.log(2), rel=1e-15, abs=0), p.temperature
+
+    def test_log_dim_up_to_the_largest_float(self):
+        # |T log W| > 1.8e308 at the last two: F = -inf is a true overflow
+        points = thermo_sweep(xxx3_open_spectrum(), [1e300, 1e308, 1.7e308])
+        for p in points:
+            assert p.entropy == pytest.approx(math.log(8), rel=1e-15, abs=0), p.temperature
+        assert [p.free_energy == -math.inf for p in points] == [False, True, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra_and_grids())
+    def test_entropy_is_the_gibbs_form(self, case):
+        levels, grid = case
+        for T, p in zip(grid, thermo_sweep(Spectrum(np.array(levels)), grid)):
+            w = [math.exp(-((e - levels[0]) / T)) for e in levels]
+            W = math.fsum(w)
+            gibbs = -math.fsum(x / W * math.log(x / W) for x in w if x / W > 0)
+            assert abs(p.entropy - gibbs) <= 1e-13 * max(1.0, math.log(len(levels))), (T, p)
 
 
 class TestSerialization:

@@ -452,9 +452,10 @@ def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
 def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     """Z, F, S, <E> (k_B = 1) at each T of an ascending grid of positive, finite
     temperatures, from dE = E - E0 by one formula at every T: w = e^(-dE/T),
-    W = sum w, U = sum w dE, F = E0 - T log W, S = log W + (U/W)/T, <E> = E0 + U/W
-    and Z = e^(-E0/T + log W).  Levels at E0 weigh 1 and an overflowing dE/T weighs
-    0; the weights of up to SWEEP_CHUNK // dim temperatures are formed at once."""
+    W = sum w, <dE> = sum (w/W) dE, F = E0 - T log W, S = log W + <dE>/T,
+    <E> = E0 + <dE> and Z = e^(-E0/T + log W).  Levels at E0 weigh 1, and a dE/T
+    or dE past the float range weighs 0, so <dE> <= max dE stays finite; the
+    weights of up to SWEEP_CHUNK // dim temperatures are formed at once."""
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
@@ -462,29 +463,29 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
         raise ValueError("all temperatures must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be ascending")
-    E = spec.eigenvalues
     if not grid:
         return []
-    if len(E) == 0:
+    if len(spec) == 0:
         raise ValueError("empty spectrum")
-    e0 = float(E[0])
-    dE = E - e0
+    e0 = float(spec.eigenvalues[0])
     points = []
-    step = max(1, SWEEP_CHUNK // len(E))
-    for lo in range(0, len(grid), step):
-        temps = grid[lo:lo + step]
-        with np.errstate(over="ignore"):                     # dE/T past the float range
+    step = max(1, SWEEP_CHUNK // len(spec))
+    with np.errstate(over="ignore"):                  # dE and dE/T past the float range
+        dE = spec.eigenvalues - e0
+        for lo in range(0, len(grid), step):
+            temps = grid[lo:lo + step]
             w = dE / -np.array(temps)[:, None]
-        np.exp(w, out=w)
-        Ws = w.sum(axis=1).tolist()
-        Us = np.multiply(w, dE, out=w).sum(axis=1).tolist()
-        for T, W, U in zip(temps, Ws, Us):
-            log_w = math.log(W)
-            try:
-                Z = math.exp(-e0 / T + log_w)
-            except OverflowError:
-                Z = math.inf
-            points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w + U / W / T, e0 + U / W))
+            np.exp(w, out=w)
+            Ws = w.sum(axis=1)
+            w *= (1 / Ws)[:, None]
+            means = np.multiply(w, dE, out=w, where=w > 0).sum(axis=1)   # no 0 * inf
+            for T, W, mean in zip(temps, Ws.tolist(), means.tolist()):
+                log_w = math.log(W)
+                try:
+                    Z = math.exp(-e0 / T + log_w)
+                except OverflowError:
+                    Z = math.inf
+                points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w + mean / T, e0 + mean))
     return points
 
 

@@ -896,6 +896,13 @@ def xxx3_open_spectrum():
     return solve(ChainSpec(n_sites=3, spin=HALF, couplings=(1, 1, 1)))
 
 
+def gibbs_entropy(levels, T):
+    """-sum p log p in Python floats, p = w / sum w with w = e^(-(E - E0)/T)."""
+    w = [math.exp(-((e - levels[0]) / T)) for e in levels]
+    W = math.fsum(w)
+    return -math.fsum(x / W * math.log(x / W) for x in w if x / W > 0)
+
+
 @st.composite
 def spectra_and_grids(draw):
     """Ascending levels in [-1e3, 1e3] (the lowest repeated up to 3 more times) whose
@@ -931,14 +938,24 @@ class TestEntropyAtBothEnds:
             assert p.entropy == pytest.approx(math.log(8), rel=1e-15, abs=0), p.temperature
         assert [p.free_energy == -math.inf for p in points] == [False, True, True]
 
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_finite_where_the_level_span_passes_the_float_range(self, n_sites):
+        # J = 1.5e308: N=3 spans 2.25e308, so E - E0 overflows at its top levels;
+        # N=2 spans 1.5e308, and sum w (E - E0) would overflow at T = 1.7e308
+        spec = solve(ChainSpec(n_sites=n_sites, spin=HALF, couplings=(1.5e308,) * 3))
+        grid = [1e-300, 1.0, 1e300, 1e307, 1e308, 1.7e308]
+        for T, p in zip(grid, thermo_sweep(spec, grid)):
+            assert math.isfinite(p.entropy) and math.isfinite(p.mean_energy), p
+            assert math.isfinite(p.free_energy) or T * math.log(len(spec)) > 1e308, p
+            assert p.entropy == pytest.approx(gibbs_entropy(spec.eigenvalues.tolist(), T),
+                                              rel=0, abs=1e-13), p
+
     @settings(max_examples=200, deadline=None)
     @given(spectra_and_grids())
     def test_entropy_is_the_gibbs_form(self, case):
         levels, grid = case
         for T, p in zip(grid, thermo_sweep(Spectrum(np.array(levels)), grid)):
-            w = [math.exp(-((e - levels[0]) / T)) for e in levels]
-            W = math.fsum(w)
-            gibbs = -math.fsum(x / W * math.log(x / W) for x in w if x / W > 0)
+            gibbs = gibbs_entropy(levels, T)
             assert abs(p.entropy - gibbs) <= 1e-13 * max(1.0, math.log(len(levels))), (T, p)
 
 

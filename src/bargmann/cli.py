@@ -1,8 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: basis | diag | thermo | verify | apply | husimi.  All output is
-deterministic at a fixed BLAS thread count: identical inputs and seed produce
-byte-identical bytes (LAPACK's last bits can change with the thread count).
+deterministic on one machine, with one numpy build and one BLAS thread count:
+identical inputs and seed produce byte-identical bytes.  LAPACK's last bits can
+change with the thread count, and those of numpy's exp, log and power with the
+SIMD code numpy dispatches to (AVX-512 or not), which `thermo` and `husimi` use.
 
 Exit codes:
     0  success (for `verify`: spectra agree within tolerance)
@@ -10,9 +12,8 @@ Exit codes:
     2  malformed input (bad spec/state/points file, a state monomial listed
        twice, a state amplitude or a point coordinate not two finite numbers
        re, im, parse error, bad grid, a negative trial count, a tolerance that
-       is not a finite number >= 0, an amplitude, a summed matrix element,
-       an eigenvalue, or psi(z) or |z|^2 at a Husimi point beyond the float
-       range)
+       is not a finite number >= 0, an amplitude, a summed matrix element or
+       an eigenvalue beyond the float range)
     3  dimension over the cap (8192, or BARGMANN_MAX_DIM), checked before any build
 
 Units: k_B = 1, temperatures in energy units; hbar defaults to 1.

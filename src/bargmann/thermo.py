@@ -1,7 +1,7 @@
 """Eigensolving, partition-function thermodynamics, and Husimi-Q densities.
 
 Conventions: k_B = 1 (temperatures in energy units), natural logarithms.
-Thermodynamics uses the excitation energies E - E0: S = log W + <E - E0>/T,
+Thermodynamics uses the excitation energies E - E0: S = log W + <(E - E0)/T>,
 with no cancellation at any temperature.
 """
 
@@ -21,7 +21,8 @@ from .errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian, NotNorma
 MAX_DENSE_DIM = 8192
 HERMITICITY_TOL = 1e-10
 RESIDUAL_FACTOR = 1e-8
-SWEEP_CHUNK = 2 ** 18      # floats per (temperature, level) weight array of `thermo_sweep`
+SWEEP_CHUNK = 2 ** 18      # entries per (temperature, level) array of `thermo_sweep`
+                           # and per (point, monomial) array of `husimi_q`
 
 
 def check_cap(d: int, n_sites: int = 1):
@@ -452,10 +453,12 @@ def partition_function(spec: Spectrum, T: float) -> ThermoPoint:
 def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     """Z, F, S, <E> (k_B = 1) at each T of an ascending grid of positive, finite
     temperatures, from dE = E - E0 by one formula at every T: w = e^(-dE/T),
-    W = sum w, <dE> = sum (w/W) dE, F = E0 - T log W, S = log W + <dE>/T,
-    <E> = E0 + <dE> and Z = e^(-E0/T + log W).  Levels at E0 weigh 1, and a dE/T
-    or dE past the float range weighs 0, so <dE> <= max dE stays finite; the
-    weights of up to SWEEP_CHUNK // dim temperatures are formed at once."""
+    W = sum w, F = E0 - T log W, S = log W + sum (w/W) (dE/T),
+    <E> = E0 + sum (w/W) dE and Z = e^(-E0/T + log W).  Levels at E0 weigh 1,
+    and a dE/T or dE past the float range weighs 0, so <E> - E0 <= max dE stays
+    finite; S reads dE/T, which keeps its digits where dE and T are both
+    subnormal.  The weights of up to SWEEP_CHUNK // dim temperatures are
+    formed at once."""
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
@@ -474,18 +477,24 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
         dE = spec.eigenvalues - e0
         for lo in range(0, len(grid), step):
             temps = grid[lo:lo + step]
-            w = dE / -np.array(temps)[:, None]
-            np.exp(w, out=w)
+            # -dE/T and the weights in one block: as two blocks, freed together, they
+            # went back to the OS after each call and were faulted in again on the next
+            r, w = np.empty((2, len(temps), len(dE)))
+            np.divide(dE, -np.array(temps)[:, None], out=r)
+            np.exp(r, out=w)
             Ws = w.sum(axis=1)
             w *= (1 / Ws)[:, None]
-            means = np.multiply(w, dE, out=w, where=w > 0).sum(axis=1)   # no 0 * inf
-            for T, W, mean in zip(temps, Ws.tolist(), means.tolist()):
+            weighed = w > 0                                   # no 0 * inf
+            np.copyto(r, 0.0, where=~weighed)
+            r_means = np.einsum("ij,ij->i", w, r)
+            means = np.multiply(w, dE, out=w, where=weighed).sum(axis=1)
+            for T, W, r_mean, mean in zip(temps, Ws.tolist(), r_means.tolist(), means.tolist()):
                 log_w = math.log(W)
                 try:
                     Z = math.exp(-e0 / T + log_w)
                 except OverflowError:
                     Z = math.inf
-                points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w + mean / T, e0 + mean))
+                points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w - r_mean, e0 + mean))
     return points
 
 
@@ -535,14 +544,17 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
 
     `variables` fixes the phase-space coordinates (ordered); it defaults to
     the state's active variables and must cover them, each named once (a
-    ValueError otherwise).  Each point supplies one complex coordinate per
-    variable.  The state must be normalized to 1e-10; psi is evaluated with
-    the monomial normalizations restored.  Where the product of the factors
-    underflows to 0 with psi(z) != 0, Q is the exponential of the sum of
-    their logs.
+    ValueError otherwise).  Each point supplies one finite complex coordinate
+    per variable (a ValueError otherwise).  The state must be normalized to
+    1e-10; psi is evaluated with the monomial normalizations restored.
 
-    Raises AmplitudeOverflow at a point where psi(z) or |z|^2 is beyond the
-    float range (Q itself may then be below it).
+    Q is formed in logs, by one formula at every point: each monomial c z^e
+    of psi is a log-modulus L = log|c| - log(prod e!)/2 + sum e log|z| and a
+    phase arg c + sum e arg z, log|psi| = top + log|sum e^(L - top + i phase)|
+    with top = max L, and Q = e^(-d log pi - |z|^2 + 2 log|psi|).  No factor
+    can overflow, and |psi(z)|^2 <= e^(|z|^2) keeps Q <= pi^-d, so every
+    finite point has a finite Q; it is 0 where Q underflows or every monomial
+    vanishes.  Up to SWEEP_CHUNK (point, monomial) terms are formed at once.
     """
     if abs(state.norm() - 1.0) > 1e-10:
         raise NotNormalized(f"state norm {state.norm()!r} is not 1 within 1e-10")
@@ -557,38 +569,34 @@ def husimi_q(state: PolynomialState, points: Sequence[Sequence[complex]],
         raise ValueError("variables must cover the state's modes; missing "
                          + ", ".join(map(var_name, missing)))
     d = len(variables)
-    pos = {v: k for k, v in enumerate(variables)}
-
-    # coefficient of prod z^n with normalization restored: amp / sqrt(prod n!)
-    monomials = []
-    for m, amp in state.items():
-        exps = [0] * d
-        for v, e in m.items():
-            exps[pos[v]] = e
-        monomials.append((exps, amp / math.sqrt(monomial_norm_sq(m))))
-
-    out = []
-    pref = math.pi ** (-d)
-    for pt in points:
-        zs = [complex(c) for c in pt]
+    rows = [[complex(c) for c in pt] for pt in points]
+    for zs in rows:
         if len(zs) != d:
             raise ValueError(f"point has {len(zs)} coordinates, expected {d}")
-        try:
-            psi = 0j
-            for exps, c in monomials:
-                term = c
-                for zv, e in zip(zs, exps):
-                    if e:
-                        term *= zv ** e
-                psi += term
-            r2 = sum(abs(zv) ** 2 for zv in zs)
-            q = pref * math.exp(-r2) * abs(psi) ** 2
-            if q == 0 and psi != 0:     # a factor underflowed: the product in logs
-                q = math.exp(math.log(pref) - r2 + 2 * math.log(abs(psi)))
-        except OverflowError:
-            q = math.nan
-        if not math.isfinite(q):
-            raise AmplitudeOverflow(f"psi(z) or |z|^2 at the point {pt!r} is beyond "
-                                    f"the float range")
-        out.append(q)
-    return out
+    z = np.array(rows, dtype=complex).reshape(len(rows), d)
+    if not np.isfinite(z).all():
+        raise ValueError("point coordinates must be finite")
+
+    amps = list(state.items())
+    exps = np.array([[m.get(v) for v in variables] for m, _ in amps], dtype=float)
+    # log|c| of each monomial with its normalization restored, from the exact prod n!
+    lam = np.array([math.log(abs(c)) - 0.5 * math.log(monomial_norm_sq(m)) for m, c in amps])
+    phase = np.angle([c for _, c in amps])
+    q = np.empty(len(z))
+    step = max(1, SWEEP_CHUNK // len(amps))
+    # log 0, the masked 0 * log 0, and |z|^2 past the float range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # log|z| without forming |z|, which overflows near (1e308, 1e308)
+        log_abs = np.logaddexp(2 * np.log(np.abs(z.real)), 2 * np.log(np.abs(z.imag))) / 2
+        arg, r2 = np.angle(z), (np.abs(z) ** 2).sum(axis=1)
+        for lo in range(0, len(z), step):
+            la, ph = log_abs[lo:lo + step], arg[lo:lo + step]
+            L, phi = np.tile(lam, (len(la), 1)), np.tile(phase, (len(la), 1))
+            for v, e in enumerate(exps.T):
+                L += np.where(e > 0, la[:, v, None] * e, 0.0)
+                phi += ph[:, v, None] * e
+            top = L.max(axis=1)
+            top[top == -np.inf] = 0.0                 # every monomial vanishes: psi = 0
+            log_psi = top + np.log(np.abs(np.exp((L - top[:, None]) + 1j * phi).sum(axis=1)))
+            q[lo:lo + step] = np.exp(-d * math.log(math.pi) - r2[lo:lo + step] + 2 * log_psi)
+    return q.tolist()

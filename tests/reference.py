@@ -16,17 +16,25 @@ replaced, kept to check those paths against.
   of the whole-chain polynomial, which `solve` assembled before it placed
   cached bond tables on the bonds, and `entry_deviation` compares two sector
   matrices entry by entry.
+- `reference_husimi` is the per-point, per-monomial loop that `husimi_q`
+  ran before it went through one log-space array pass: the direct product,
+  redone in logs where it underflows, and AmplitudeOverflow where psi(z) or
+  |z|^2 is beyond the float range.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from bargmann.algebra import MultiIndex, apply_term, w_var, z_var
+from bargmann.algebra import (MultiIndex, PolynomialState, Var, apply_term, monomial_norm_sq,
+                              var_name, w_var, z_var)
 from bargmann.chain import build_hamiltonian
+from bargmann.errors import AmplitudeOverflow, NotNormalized
 from bargmann.thermo import SectorMatrix
 
 
@@ -105,3 +113,68 @@ def entry_deviation(A, B) -> float:
                                    np.concatenate([A.cols, B.cols]),
                                    np.concatenate([A.vals, -B.vals]))
     return float(np.abs(D.vals).max(initial=0.0))
+
+
+def reference_husimi(state: PolynomialState, points: Sequence[Sequence[complex]],
+                      variables: Sequence[Var] | None = None) -> list[float]:
+    """Husimi-Q density Q(z) = pi^-d e^(-|z|^2) |psi(z)|^2 at each point.
+
+    `variables` fixes the phase-space coordinates (ordered); it defaults to
+    the state's active variables and must cover them, each named once (a
+    ValueError otherwise).  Each point supplies one complex coordinate per
+    variable.  The state must be normalized to 1e-10; psi is evaluated with
+    the monomial normalizations restored.  Where the product of the factors
+    underflows to 0 with psi(z) != 0, Q is the exponential of the sum of
+    their logs.
+
+    Raises AmplitudeOverflow at a point where psi(z) or |z|^2 is beyond the
+    float range (Q itself may then be below it).
+    """
+    if abs(state.norm() - 1.0) > 1e-10:
+        raise NotNormalized(f"state norm {state.norm()!r} is not 1 within 1e-10")
+    if variables is None:
+        variables = state.active_variables()
+    variables = list(variables)
+    twice = [v for k, v in enumerate(variables) if v in variables[:k]]
+    if twice:
+        raise ValueError(f"variable {var_name(twice[0])} is named more than once")
+    missing = sorted(set(state.active_variables()) - set(variables))
+    if missing:
+        raise ValueError("variables must cover the state's modes; missing "
+                         + ", ".join(map(var_name, missing)))
+    d = len(variables)
+    pos = {v: k for k, v in enumerate(variables)}
+
+    # coefficient of prod z^n with normalization restored: amp / sqrt(prod n!)
+    monomials = []
+    for m, amp in state.items():
+        exps = [0] * d
+        for v, e in m.items():
+            exps[pos[v]] = e
+        monomials.append((exps, amp / math.sqrt(monomial_norm_sq(m))))
+
+    out = []
+    pref = math.pi ** (-d)
+    for pt in points:
+        zs = [complex(c) for c in pt]
+        if len(zs) != d:
+            raise ValueError(f"point has {len(zs)} coordinates, expected {d}")
+        try:
+            psi = 0j
+            for exps, c in monomials:
+                term = c
+                for zv, e in zip(zs, exps):
+                    if e:
+                        term *= zv ** e
+                psi += term
+            r2 = sum(abs(zv) ** 2 for zv in zs)
+            q = pref * math.exp(-r2) * abs(psi) ** 2
+            if q == 0 and psi != 0:     # a factor underflowed: the product in logs
+                q = math.exp(math.log(pref) - r2 + 2 * math.log(abs(psi)))
+        except OverflowError:
+            q = math.nan
+        if not math.isfinite(q):
+            raise AmplitudeOverflow(f"psi(z) or |z|^2 at the point {pt!r} is beyond "
+                                    f"the float range")
+        out.append(q)
+    return out

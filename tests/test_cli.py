@@ -12,7 +12,7 @@ import pytest
 
 from bargmann import cli
 from bargmann.chain import ChainSpec
-from bargmann.dsl import format_monomial
+from bargmann.dsl import format_monomial, parse_monomial
 
 from reference import site_magnetization, states, total_magnetization
 
@@ -520,16 +520,32 @@ class TestHusimi:
     @pytest.mark.parametrize("monomial, point", [
         ("z[0]", [[1e200, 0]]),                       # |z|^2 beyond the float range
         ("z[0]^4", [[1e100, 0]]),                     # z^4 beyond it
-        ("z[0]^3 * z[1]^3", [[1e60, 0], [0, 1e60]]),  # psi(z) beyond it, with no exception
+        ("z[0]^3 * z[1]^3", [[1e60, 0], [0, 1e60]]),  # psi(z) beyond it
     ])
-    def test_far_point_overflow_exit_2(self, tmp_path, capsys, monomial, point):
+    def test_far_point_gives_its_closed_form(self, tmp_path, capsys, monomial, point):
+        # Q = pi^-d e^-|z|^2 prod |z_v|^(2 e_v) / e_v!, in logs: 0.0 at the far point
         state = write_state(tmp_path, [{"monomial": monomial, "re": 1.0, "im": 0.0}])
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"points": [[[0.5, 0.0]] * len(point), point]}))
-        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: psi(z) or |z|^2 at the point ")
-        assert err.endswith(" is beyond the float range\n") and err.count("\n") == 1
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 0
+        exps = parse_monomial(monomial).items()
+        want = []
+        for pt in ([[0.5, 0.0]] * len(point), point):
+            zs = [abs(complex(*c)) for c in pt]
+            want.append(math.exp(sum(2 * e * math.log(r) - r * r - math.lgamma(e + 1)
+                                     for (_, e), r in zip(exps, zs)) - len(zs) * math.log(math.pi)))
+        assert want[1] == 0.0
+        assert json.loads(capsys.readouterr().out) == [pytest.approx(want[0], rel=1e-12), 0.0]
+
+    def test_six_modes_at_sixty_quanta_each(self, tmp_path, capsys):
+        # prod z_i^60 at |z_i|^2 = 60: the exact prod n! is past the float range
+        monomial = " * ".join(f"z[{i}]^60" for i in range(6))
+        state = write_state(tmp_path, [{"monomial": monomial, "re": 1.0, "im": 0.0}])
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[[math.sqrt(60), 0]] * 6]}))
+        assert cli.main(["husimi", "--state", state, "--points", str(points)]) == 0
+        want = math.exp(6 * (60 * math.log(60) - 60 - math.lgamma(61)) - 6 * math.log(math.pi))
+        assert json.loads(capsys.readouterr().out) == [pytest.approx(want, rel=1e-12, abs=0)]
 
     def test_far_point_with_an_underflowing_factor(self, tmp_path, capsys):
         # e^-900 is below the float range, Q = e^-900 900^64 / (64! pi) is not

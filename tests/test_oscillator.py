@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -21,6 +22,7 @@ from bargmann.oscillator import (
     per_term_eigenvalue_sum,
     truncated_series_state,
 )
+from bargmann.thermo import husimi_q
 
 from conftest import states
 
@@ -129,3 +131,37 @@ class TestSignAbsorption:
                 signed = PolynomialState.monomial(m, amp * (-1) ** k)
                 unsigned = PolynomialState.monomial(m, amp)
                 assert rayleigh(H, signed) == pytest.approx(rayleigh(H, unsigned), rel=1e-12)
+
+
+def coherent_distance_bound(n: int, r: float) -> float:
+    """A bound on |Q_n(z) - Q(z)| at |z| = r, for Q_n of the normalized partial sum
+    psi_n = s_n / N_n of e^z up to z^n (s_n(z) = sum_{k<=n} z^k/k!, N_n^2 =
+    sum_{k<=n} 1/k!) and Q = pi^-1 e^(-|z-1|^2) of the coherent state
+    psi = e^(-1/2) e^z.  With pi Q_n - pi Q = e^(-r^2) (|psi_n| + |psi|)(|psi_n| - |psi|),
+    |psi_n| <= e^r / N_n, |psi| <= e^(-1/2) e^r and
+    |psi_n - psi| <= tail_n(r) / N_n + e^r |1/N_n - e^(-1/2)|, tail_n(r) = sum_{k>n} r^k/k!."""
+    def tail(x):
+        return math.fsum(x ** k / math.factorial(k) for k in range(n + 1, n + 120))
+    N = math.sqrt(math.fsum(1 / math.factorial(k) for k in range(n + 1)))
+    t = tail(1) / math.e                 # 1/N - e^(-1/2) = (1 - sqrt(1 - t)) / N, unrounded
+    gap = t / (N * (1 + math.sqrt(1 - t)))
+    return (math.exp(r - r * r) * (1 / N + math.exp(-0.5)) * (tail(r) / N + math.exp(r) * gap)
+            / math.pi)
+
+
+class TestUniformConvergence:
+    """The series of e^z in the normalized monomials converges uniformly on compact
+    domains: Q of its partial sums tends to Q of the coherent state at 1 on |z| <= 3."""
+
+    def test_husimi_q_of_partial_sums_on_the_disk(self):
+        grid = [r * np.exp(1j * phi) for r in np.linspace(0, 3, 31)
+                for phi in np.linspace(0, 2 * np.pi, 48, endpoint=False)]
+        sup = []
+        for n in (4, 8, 12, 16, 20):
+            state = truncated_series_state(EXP, n)
+            qs = husimi_q(state.scaled(1 / state.norm()), [[z] for z in grid])
+            errors = [abs(q - math.exp(-abs(z - 1) ** 2) / math.pi) for z, q in zip(grid, qs)]
+            for z, e in zip(grid, errors):
+                assert e <= coherent_distance_bound(n, abs(z)) * (1 + 1e-12) + 1e-15, (n, z, e)
+            sup.append(max(errors))
+        assert all(b < a for a, b in zip(sup, sup[1:])), sup

@@ -104,7 +104,7 @@ def test_apply_expect(files, capsys):
 
 def test_husimi(files, capsys):
     argv = ["husimi", "--state", files["state"], "--points", files["points"]]
-    assert run(capsys, argv) == (0, "[2.3855347466990279e-02, 7.6866560570647184e-03]\n", "")
+    assert run(capsys, argv) == (0, "[2.3855347466990275e-02, 7.6866560570647150e-03]\n", "")
 
 
 BASIS = {

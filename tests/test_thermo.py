@@ -43,7 +43,7 @@ from bargmann.thermo import (
     to_json,
 )
 
-from reference import as_sector_matrix, reference_assemble
+from reference import as_sector_matrix, reference_assemble, reference_husimi
 
 Z0 = z_var(0)
 
@@ -950,6 +950,13 @@ class TestEntropyAtBothEnds:
             assert p.entropy == pytest.approx(gibbs_entropy(spec.eigenvalues.tolist(), T),
                                               rel=0, abs=1e-13), p
 
+    @pytest.mark.parametrize("levels, T", [([0.0, 1e-320], 1e-320), ([0.0, 3e-322], 1e-322)])
+    def test_subnormal_level_gaps(self, levels, T):
+        # (w/W) dE rounds on the subnormal grid, and dividing by T took S off by up to
+        # 1e-2; (w/W) (dE/T) keeps the digits
+        (p,) = thermo_sweep(Spectrum(np.array(levels)), [T])
+        assert p.entropy == pytest.approx(gibbs_entropy(levels, T), rel=1e-15, abs=0)
+
     @settings(max_examples=200, deadline=None)
     @given(spectra_and_grids())
     def test_entropy_is_the_gibbs_form(self, case):
@@ -1067,3 +1074,67 @@ class TestHusimi:
         qs = np.array(husimi_q(state, pts))
         p = np.exp(-np.abs(z[:200]) ** 2) / math.pi
         assert np.allclose(qs, w[:200] * p, rtol=1e-10)
+
+    @pytest.mark.parametrize("c", [complex(math.inf, 0), complex(0, -math.inf),
+                                   complex(math.nan, 1)])
+    def test_non_finite_coordinate(self, c):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            husimi_q(PolynomialState.monomial({Z0: 1}), [[0.5 + 0j], [c]])
+
+    def test_vanishing_and_far_points(self):
+        # every monomial vanishes at 0; |z| itself is past the float range at (1e308, 1e308)
+        state = PolynomialState.monomial({Z0: 1})
+        points = [[0j], [1e200 + 0j], [complex(1e308, 1e308)], [-1e308j]]
+        assert husimi_q(state, points) == [0.0] * 4
+
+
+def husimi_bound(state, point, variables) -> float:
+    """U = pi^-d e^(-|z|^2) (sum_m |c_m| prod |z_v|^e_v / sqrt(prod e_v!))^2, formed in
+    logs: Q at the point with every monomial's phase aligned, the scale of its rounding."""
+    logs = []
+    for m, c in state.items():
+        es = [m.get(v) for v in variables]
+        if not any(e and z == 0 for e, z in zip(es, point)):
+            logs.append(math.log(abs(c)) + sum(e * math.log(abs(z)) - math.lgamma(e + 1) / 2
+                                               for e, z in zip(es, point) if e))
+    if not logs:
+        return 0.0
+    top = max(logs)
+    log_sum = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    return math.exp(2 * log_sum - sum(abs(z) ** 2 for z in point) - len(point) * math.log(math.pi))
+
+
+COORDINATE = st.one_of(st.just(0.0), st.floats(-9, 9))
+
+
+@st.composite
+def husimi_cases(draw):
+    """A normalized state on d <= 4 variables, named in a drawn order, with exponents up
+    to 64, and points whose coordinates lie in [-9, 9]^2, zeros among them."""
+    d = draw(st.integers(1, 4))
+    variables = draw(st.permutations([z_var(0), w_var(0), z_var(1), w_var(1)]))[:d]
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 64)] * d), min_size=1, max_size=6,
+                         unique=True))
+    parts = st.floats(-1, 1)
+    amps = [complex(draw(parts), draw(parts)) for _ in exps]
+    state = PolynomialState({MultiIndex(dict(zip(variables, e))): a for e, a in zip(exps, amps)})
+    assume(state.norm() > 1e-100)
+    points = draw(st.lists(st.lists(st.builds(complex, COORDINATE, COORDINATE),
+                                    min_size=d, max_size=d), min_size=1, max_size=6))
+    return state.scaled(1 / state.norm()), variables, points
+
+
+class TestHusimiAgainstTheLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(husimi_cases())
+    def test_within_the_rounding_scale_of_the_loop(self, case):
+        state, variables, points = case
+        try:
+            ref = reference_husimi(state, points, variables)
+        except (AmplitudeOverflow, OverflowError):    # prod n! or psi(z) past the float range
+            assume(False)
+        qs = husimi_q(state, points, variables)
+        for pt, q, r in zip(points, qs, ref):
+            assert abs(q - r) <= 1e-12 * husimi_bound(state, pt, variables), (pt, q, r)
+        with mock.patch.object(thermo, "SWEEP_CHUNK", 1):    # one point per chunk
+            assert husimi_q(state, points, variables) == qs

@@ -313,9 +313,6 @@ class PolynomialState:
     def get(self, m: MultiIndex) -> complex:
         return self._amps.get(m, 0j)
 
-    def amplitudes(self) -> dict[MultiIndex, complex]:
-        return dict(self._amps)
-
     def active_variables(self) -> tuple[Var, ...]:
         vs: set[Var] = set()
         for m in self._amps:

@@ -49,8 +49,7 @@ def j_operator(site: int, kind: str, hbar=1) -> OperatorPolynomial:
     if kind != "squared":
         raise ValueError(f"unknown operator kind {kind!r}; expected one of "
                          "x, y, z, +, -, squared")
-    axes = [j_operator(site, axis, h) for axis in ("x", "y", "z")]
-    return OperatorPolynomial.sum(compose(c, c) for c in axes)
+    return total_operator("squared", [site], h)
 
 
 def total_operator(kind: str, sites: Iterable[int], hbar=1) -> OperatorPolynomial:

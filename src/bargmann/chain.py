@@ -449,29 +449,27 @@ def _plan(twos: int, n_sites: int, boundary: str, h_keys: bytes) -> ChainPlan:
     matrix h with these row-major keys (int64), and, above
     UNREDUCED_MAX_DIM, the symmetry maps.
 
-    h's entry (a_i d + a_j, b_i d + b_j) is placed on every bond (i, j) at
-    every (row, col) pair of states with digits a_i, a_j and b_i, b_j at
-    sites i and j and equal digits elsewhere.  The placements are ordered
-    (bond in `bond_list` order, entry of h, state), and M's pattern is
-    their union.  The arrays are read-only.
+    With a < b the sites of bond (i, j), the index range reshaped to
+    (L, d, M, d, R), L = d^a, M = d^(b-a-1), R = d^(N-b-1), lists the
+    states by their digits at the two sites, all other digits equal; with
+    the axes of sites i and j put first it lists them by the local digits
+    a_i d + a_j, each in ascending order.  h's entry (a_i d + a_j,
+    b_i d + b_j) is placed on every bond at every (row, col) pair of those
+    lists.  The placements are ordered (bond in `bond_list` order, entry of
+    h, state), and M's pattern is their union.  The arrays are read-only.
     """
     d = twos + 1
     dim, dd = d ** n_sites, d * d
-    bonds = bond_list(n_sites, boundary)
     h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
-    i, j = np.array(bonds, dtype=np.int64).reshape(-1, 2).T
-    place = d ** np.arange(n_sites - 1, -1, -1)      # index weight of each site's digit
-    digits = np.arange(dim)[:, None] // place % d
-    # per bond, the states with digit 0 at both of its sites, ascending
-    base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
-    base = base.reshape(len(bonds), 1, dim // dd)
-
-    def shift(local):      # (bond, entry) -> index offset of the local digits
-        return local // d * place[i][:, None] + local % d * place[j][:, None]
-
-    rows = (base + shift(h_rows)[:, :, None]).ravel()
-    cols = (base + shift(h_cols)[:, :, None]).ravel()
-    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    bonds = bond_list(n_sites, boundary) if len(h_rows) else []    # spin 0 at any length
+    r = np.arange(dim)
+    keys = np.empty((len(bonds), len(h_rows), dim // dd), dtype=np.int64)
+    for k, (i, j) in enumerate(bonds):
+        a, b = min(i, j), max(i, j)
+        local = np.moveaxis(r.reshape(d ** a, d, d ** (b - a - 1), d, d ** (n_sites - b - 1)),
+                            (1, 3) if i < j else (3, 1), (0, 1)).reshape(dd, -1)
+        keys[k] = local[h_rows] * dim + local[h_cols]
+    keys, at = np.unique(keys.ravel(), return_inverse=True)
     rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
     at = at.astype(np.int32)
     for a in (rows, cols, at):

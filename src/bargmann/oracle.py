@@ -3,8 +3,8 @@
 The same chain Hamiltonians as full dense matrices on the tensor-product
 basis, built from the standard spin-s matrices and sharing nothing with the
 holomorphic path beyond the ChainSpec.  Each bond's two-site operator is
-added into the strided view of H on which every other site acts as the
-identity, so no identity factor is ever formed.  Phase convention is
+added into the view of H on which every other site acts as the identity,
+so no identity factor is ever formed.  Phase convention is
 Condon-Shortley (real non-negative ladder elements), so agreement with the
 sector matrices is entry-wise, not just spectral.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .chain import ChainSpec
 from .errors import DimensionMismatch
@@ -55,11 +54,12 @@ def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
     The two-site operator sum_k J_k S_k (x) S_k is formed once as a
     (d, d, d, d) array and added into the view of H that is diagonal on
-    every other site: with a < b, H is indexed as (L, d, M, d, R) x
-    (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the view
-    takes equal L, M and R indices on both sides.  The operator is real
-    (S_y (x) S_y is), so H is float64; a nonzero imaginary part in it is an
-    AssertionError.  `check_cap` runs before any allocation.
+    every other site: with a < b, H is reshaped to (L, d, M, d, R) x
+    (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the
+    view, a writable `np.einsum` diagonal, takes equal L, M and R indices on
+    both sides.  The operator is real (S_y (x) S_y is), so H is float64; a
+    nonzero imaginary part in it is an AssertionError.  `check_cap` runs
+    before any allocation.
     """
     d, n = int(2 * spec.spin) + 1, spec.n_sites
     check_cap(d, n)
@@ -71,16 +71,11 @@ def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:
             h += J * (S[:, None, :, None] * S[None, :, None, :])
     assert not h.imag.any(), "bond operator is not real"
     H = np.zeros((dim, dim))
-    item = H.itemsize
     for (i, j) in spec.bonds():
         a, b = min(i, j), max(i, j)
-        M, R = d ** (b - a - 1), d ** (n - b - 1)
-        # (l, m, r) run along the diagonal; p, p' pick rows and q, q' columns
-        diag = (dim + 1) * item
-        view = as_strided(H, shape=(d ** a, M, R, d, d, d, d),
-                          strides=(d * M * d * R * diag, d * R * diag, diag,
-                                   M * d * R * dim * item, R * dim * item,
-                                   M * d * R * item, R * item))
+        shape = (d ** a, d, d ** (b - a - 1), d, d ** (n - b - 1))
+        # l, m, r run along the diagonal; p, q pick the rows and P, Q the columns
+        view = np.einsum("lpmqrlPmQr->lmrpqPQ", H.reshape(shape + shape))
         view += h.real
     return H
 

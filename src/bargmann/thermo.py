@@ -250,8 +250,10 @@ def _gated(H):
     scale = np.abs(vals).max(initial=0.0)
     # k even, so that LAPACK's square roots of entries round as they do on H
     k = 2 * ((math.frexp(scale)[1] - 1) // 2)
+    # + 0.0: a -0.0, from a negative part that underflows at this scale,
+    # would flip LAPACK's reflector signs and with them an eigenvector's phase
     vals = (np.ldexp(vals.real, -k) + 1j * np.ldexp(vals.imag, -k)
-            if np.iscomplexobj(vals) else np.ldexp(vals, -k))
+            if np.iscomplexobj(vals) else np.ldexp(vals, -k)) + 0.0
     M = H.pattern.matrix(vals)
     dev = M.deviation(M.pattern.mirror, conj=True)
     if dev > HERMITICITY_TOL * math.ldexp(scale, -k):

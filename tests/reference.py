@@ -16,6 +16,9 @@ replaced, kept to check those paths against.
   of the whole-chain polynomial, which `solve` assembled before it placed
   cached bond tables on the bonds, and `entry_deviation` compares two sector
   matrices entry by entry.
+- `digit_table_plan` is the placement of a bond matrix on every bond from a
+  dim x N table of the index digits, as `_plan` placed it before it
+  reshaped the index range: the `rows`, `cols` and `at` of its `ChainPlan`.
 - `reference_husimi` is the per-point, per-monomial loop that `husimi_q`
   ran before it went through one log-space array pass: the direct product,
   redone in logs where it underflows, and AmplitudeOverflow where psi(z) or
@@ -33,7 +36,7 @@ import scipy.sparse as sp
 
 from bargmann.algebra import (MultiIndex, PolynomialState, Var, apply_term, monomial_norm_sq,
                               var_name, w_var, z_var)
-from bargmann.chain import build_hamiltonian
+from bargmann.chain import bond_list, build_hamiltonian
 from bargmann.errors import AmplitudeOverflow, NotNormalized
 from bargmann.thermo import SectorMatrix
 
@@ -113,6 +116,36 @@ def entry_deviation(A, B) -> float:
                                    np.concatenate([A.cols, B.cols]),
                                    np.concatenate([A.vals, -B.vals]))
     return float(np.abs(D.vals).max(initial=0.0))
+
+
+def digit_table_plan(twos: int, n_sites: int, boundary: str, h_keys: bytes):
+    """The `rows`, `cols` and `at` (int32) of the placements of a bond matrix h
+    with these row-major keys (int64), from the digits of every index.
+
+    Per bond (i, j), the states with digit 0 at both sites, ascending, are
+    shifted by the place weights of h's local digits a_i, a_j (a_i d + a_j)
+    at sites i and j.  The placements are ordered (bond in `bond_list`
+    order, entry of h, state); `rows` and `cols` are their union, sorted
+    row-major, and `at` the position of each placement in it.
+    """
+    d = twos + 1
+    dim, dd = d ** n_sites, d * d
+    bonds = bond_list(n_sites, boundary)
+    h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
+    i, j = np.array(bonds, dtype=np.int64).reshape(-1, 2).T
+    place = d ** np.arange(n_sites - 1, -1, -1)      # index weight of each site's digit
+    digits = np.arange(dim)[:, None] // place % d
+    base = np.nonzero(((digits[:, i] == 0) & (digits[:, j] == 0)).T)[1]
+    base = base.reshape(len(bonds), 1, dim // dd)
+
+    def shift(local):      # (bond, entry) -> index offset of the local digits
+        return local // d * place[i][:, None] + local % d * place[j][:, None]
+
+    rows = (base + shift(h_rows)[:, :, None]).ravel()
+    cols = (base + shift(h_cols)[:, :, None]).ravel()
+    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
+    return rows, cols, at.astype(np.int32)
 
 
 def reference_husimi(state: PolynomialState, points: Sequence[Sequence[complex]],

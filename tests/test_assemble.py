@@ -7,6 +7,8 @@ amplitudes to scipy's CSR in that order; the tables' triplets, and those of
 exactly, not just closely.
 """
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -35,6 +37,7 @@ from bargmann.chain import (
     ChainSpec,
     _bond,
     _bond_tables,
+    _plan,
     build_hamiltonian,
     chain_matrix,
     solve,
@@ -43,7 +46,8 @@ from bargmann.chain import (
 from bargmann.thermo import SectorMatrix, eigensolve
 
 from conftest import operator_terms
-from reference import as_sector_matrix, entry_deviation, index_of, reference_assemble, states
+from reference import (as_sector_matrix, digit_table_plan, entry_deviation, index_of,
+                       reference_assemble, states)
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +108,61 @@ def test_chain_ladder(spin, n, boundary, mode):
 def test_closed_form_length(spin, n):
     spec = ChainSpec(n_sites=n, spin=spin, couplings=(1, 1, 1))
     assert spec.dimension() == len(states(spec)) == chain_matrix(spec).n
+
+
+PATTERNS = {"XYZ": (1, 0.7, 0.3), "XXZ": (1, 1, 0.5), "XY": (1, 1, 0), "empty": (0, 0, 0)}
+
+
+def bond_matrix(spec) -> SectorMatrix:
+    """The bond matrix h of the chain: the matrix of the open two-site chain
+    with its spin, couplings, hbar and mode, whose one bond (0, 1) is h."""
+    return chain_matrix(dataclasses.replace(spec, n_sites=2, boundary=OPEN))
+
+
+@pytest.mark.parametrize("twos", range(5))
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_plan_places_as_the_digit_table(twos, pattern):
+    # the reshape lists each bond's placements in the digit table's order
+    h = bond_matrix(ChainSpec(n_sites=2, spin=Fraction(twos, 2), couplings=PATTERNS[pattern]))
+    keys = (h.rows.astype(np.int64) * h.n + h.cols).tobytes()
+    for n, boundary in [(n, OPEN) for n in range(1, 8)] + [(n, PERIODIC) for n in range(2, 8)]:
+        plan = _plan(twos, n, boundary, keys)
+        for name, want in zip(("rows", "cols", "at"), digit_table_plan(twos, n, boundary, keys)):
+            got = getattr(plan, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, boundary, name)
+
+
+def dense_bond_sum(spec) -> np.ndarray:
+    """The chain's matrix as the dense sum, in `spec.bonds()` order, of h
+    (`bond_matrix`) on each bond (i, j): entry (r, c) of the bond is h's
+    (a_i d + a_j, b_i d + b_j) when the digits a of r and b of c agree at
+    every other site."""
+    d = int(2 * spec.spin) + 1
+    h = bond_matrix(spec)
+    H = np.zeros((d * d, d * d), dtype=h.vals.dtype)
+    H[h.rows, h.cols] = h.vals
+    digits = list(itertools.product(range(d), repeat=spec.n_sites))
+    M = np.zeros((len(digits), len(digits)), dtype=h.vals.dtype)
+    for i, j in spec.bonds():
+        for (r, a), (c, b) in itertools.product(enumerate(digits), repeat=2):
+            if all(x == y for k, (x, y) in enumerate(zip(a, b)) if k not in (i, j)):
+                M[r, c] += H[a[i] * d + a[j], b[i] * d + b[j]]
+    return M
+
+
+@pytest.mark.parametrize("spin,n", [(HALF, 5), (Fraction(1), 4), (Fraction(3, 2), 3)])
+@pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+@pytest.mark.parametrize("mode", [COMPOSITIONAL, PAPER_LITERAL])
+def test_chain_matrix_is_the_dense_bond_sum(spin, n, boundary, mode):
+    # bit for bit; the paper-literal h is not symmetric under swapping its sites
+    spec = ChainSpec(n_sites=n, spin=spin, couplings=(0.7, -1.3, 0.45),
+                     boundary=boundary, hbar=Fraction(2, 3), mode=mode)
+    M, dense = chain_matrix(spec), dense_bond_sum(spec)
+    assert M.vals.dtype == dense.dtype
+    assert M.vals.tobytes() == dense[M.rows, M.cols].tobytes()
+    outside = np.ones(dense.shape, dtype=bool)
+    outside[M.rows, M.cols] = False
+    assert not dense[outside].any()
 
 
 def applied_matrix(H, spec) -> SectorMatrix:

@@ -47,6 +47,7 @@ from .oracle import (
     SpinMatrices,
     compare_spectra,
     oracle_hamiltonian,
+    oracle_matrix,
     spin_matrices,
 )
 from .oscillator import (

@@ -16,13 +16,11 @@ of the sector matrix, its gates and its symmetry blocks once per chain shape.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +38,7 @@ from .algebra import (
 )
 from .angular import j_operator
 from .errors import AmplitudeOverflow
-from .thermo import Pattern, SectorMatrix, Spectrum, check_cap, eigensolve, sum_at
+from .thermo import Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, eigensolve, sum_at
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -478,32 +476,6 @@ def _plan(twos: int, n_sites: int, boundary: str, h_keys: bytes) -> ChainPlan:
     return ChainPlan(dim, rows, cols, at, shape)
 
 
-PLAN_BUDGET = 800_000     # entries of M in the plans kept: 26-77 B each measured, so < 64 MiB
-_plans = collections.OrderedDict()     # shape -> ChainPlan, least recently used first
-_plans_lock = threading.Lock()
-
-
-def _kept_plan(key) -> ChainPlan:
-    """The `ChainPlan` of the shape `key`, the arguments of `_plan`, as the
-    most recently used.  A new plan is kept when it has at most PLAN_BUDGET
-    entries, and the least recently used plans are then dropped until the
-    kept entries sum to at most PLAN_BUDGET; a larger one serves its call
-    alone and drops nothing."""
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
-    plan = _plan(*key)
-    if len(plan.rows) <= PLAN_BUDGET:
-        with _plans_lock:
-            _plans[key] = plan
-            kept = sum(len(p.rows) for p in _plans.values())
-            while kept > PLAN_BUDGET:
-                kept -= len(_plans.popitem(last=False)[1].rows)
-    return plan
-
-
 def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     """The chain's sector matrix: the matrix of `build_hamiltonian(spec)` up
     to rounding, without building the whole-chain polynomial.
@@ -513,7 +485,7 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     `spec.bonds()` order; the values are float64 when h is real.  The
     entries are the union of the placements, so one whose contributions
     cancel is a stored zero.  The matrix's `pattern` is the shape's
-    `ChainPlan`, kept for the next call on the shape (`_kept_plan`).
+    `ChainPlan`, kept for the next call on the shape (`thermo._kept_plan`).
 
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
@@ -527,7 +499,7 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
             parts += [(T.rows, T.cols, J * T.vals)
                       for J, T in zip(spec.couplings, tables) if J != 0.0]
     h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
-    plan = _kept_plan((d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes()))
+    plan = _kept_plan(_plan, d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
     h_vals = h.vals if h.vals.imag.any() else h.vals.real
     placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, plan.n // (d * d)))
     M = plan.matrix(sum_at(plan.at, placed.ravel(), len(plan.rows)))
@@ -545,9 +517,9 @@ def solve(spec: ChainSpec) -> Spectrum:
     alone.  The checks of `eigensolve` run on the sector matrix either way.
 
     The index work is the chain shape's `ChainPlan`, which `chain_matrix`
-    keeps within PLAN_BUDGET entries.  Every call computes values alone,
-    in the same order, so its result is the same to the bit cold or warm,
-    and runs every gate on its own values.  The saving is for a process
+    keeps within `thermo.PLAN_BUDGET` entries.  Every call computes values
+    alone, in the same order, so its result is the same to the bit cold or
+    warm, and runs every gate on its own values.  The saving is for a process
     that solves one shape again (a coupling scan, `verify
     --random-trials`); a one-shot call builds the plan once and never reads
     it again.

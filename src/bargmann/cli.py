@@ -29,8 +29,6 @@ import math
 import random
 import sys
 
-import numpy as np
-
 from .algebra import (
     MultiIndex,
     OperatorPolynomial,
@@ -53,7 +51,7 @@ from .chain import (
 )
 from .dsl import ParseError, format_monomial, format_operator, parse, parse_monomial
 from .errors import DimensionTooLarge, NotNormalized
-from .oracle import compare_spectra, oracle_hamiltonian
+from .oracle import compare_spectra, oracle_matrix
 from .thermo import (
     _f12,
     eigensolve,
@@ -156,6 +154,15 @@ def _check_temperatures(temps):
         raise ValueError("temperatures must be finite")
 
 
+def _log_grid(tmin: float, tmax: float, n: int) -> list[float]:
+    """n temperatures from tmin to tmax, equally spaced in log T, in Python
+    floats (no SIMD code path), both ends exact."""
+    if n == 1:
+        return [tmin]
+    lo, hi = math.log(tmin), math.log(tmax)
+    return [tmin, *(math.exp(lo + (hi - lo) * k / (n - 1)) for k in range(1, n - 1)), tmax]
+
+
 def _parse_grid(args) -> list[float]:
     if args.temps is not None:
         toks = [t for t in args.temps.split(",") if t.strip()]
@@ -164,7 +171,7 @@ def _parse_grid(args) -> list[float]:
         if args.tpoints < 1:
             raise ValueError("tpoints must be >= 1")
         _check_temperatures([args.tmin, args.tmax])
-        grid = list(np.geomspace(args.tmin, args.tmax, args.tpoints))
+        grid = _log_grid(args.tmin, args.tmax, args.tpoints)
     else:
         raise ValueError("give either --temps or --tmin/--tmax/--tpoints")
     _check_temperatures(grid)
@@ -187,7 +194,7 @@ def cmd_thermo(args) -> int:
 
 def _verify_once(spec: ChainSpec, tol: float):
     sb = solve(spec)
-    so = eigensolve(oracle_hamiltonian(spec), compute_vectors=False)
+    so = eigensolve(oracle_matrix(spec), compute_vectors=False)
     return compare_spectra(sb, so, tol)
 
 

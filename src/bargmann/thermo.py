@@ -7,9 +7,11 @@ with no cancellation at any temperature.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -82,9 +84,11 @@ class Pattern:
 
     `matrix(vals)` puts values on the pattern.  The pattern of a chain's
     sector matrix is the shape's `chain.ChainPlan`, which
-    `chain.chain_matrix` keeps; any other `SectorMatrix` gets a pattern of
-    its own, on which both steps run on the spot.  Index maps are int32, so
-    a pattern holds fewer than 2**31 entries."""
+    `chain.chain_matrix` keeps, and that of the oracle's the shape's
+    `oracle.OraclePlan`, which `oracle.oracle_matrix` keeps, both with
+    `_kept_plan`; any other `SectorMatrix` gets a pattern of its own, on
+    which both steps run on the spot.  Index maps are int32, so a pattern
+    holds fewer than 2**31 entries."""
 
     def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
         self.n, self.rows, self.cols = n, rows, cols
@@ -129,6 +133,33 @@ class Pattern:
         if kept is None or kept[0] != key:
             kept = self._layout = (key, _block_layout(self, nonzero, imag))
         return kept[1]
+
+
+PLAN_BUDGET = 800_000     # entries in the plans kept: 26-77 B each measured, so < 64 MiB
+_plans = collections.OrderedDict()     # (build, shape) -> Pattern, least recently used first
+_plans_lock = threading.Lock()
+
+
+def _kept_plan(build, *shape) -> Pattern:
+    """The pattern `build(*shape)` of the shape, as the most recently used:
+    one cache for every builder, keyed by the builder and the shape.  A new
+    pattern is kept when it has at most PLAN_BUDGET entries, and the least
+    recently used ones are then dropped until the kept entries sum to at
+    most PLAN_BUDGET; a larger one serves its call alone and drops nothing."""
+    key = (build, shape)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    plan = build(*shape)
+    if len(plan.rows) <= PLAN_BUDGET:
+        with _plans_lock:
+            _plans[key] = plan
+            kept = sum(len(p.rows) for p in _plans.values())
+            while kept > PLAN_BUDGET:
+                kept -= len(_plans.popitem(last=False)[1].rows)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -457,10 +488,14 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     temperatures, from dE = E - E0 by one formula at every T: w = e^(-dE/T),
     W = sum w, F = E0 - T log W, S = log W + sum (w/W) (dE/T),
     <E> = E0 + sum (w/W) dE and Z = e^(-E0/T + log W).  Levels at E0 weigh 1,
-    and a dE/T or dE past the float range weighs 0, so <E> - E0 <= max dE stays
+    and a dE/T past the float range weighs 0, so <E> - E0 <= max dE stays
     finite; S reads dE/T, which keeps its digits where dE and T are both
-    subnormal.  The weights of up to SWEEP_CHUNK // dim temperatures are
-    formed at once."""
+    subnormal.  A level whose dE itself is past the float range (E0 < 0 < E)
+    has -dE/T formed as E0/T - E/T, and <E> is then
+    E0 (1 - P) + sum' (w/W) dE + sum'' (w/W) E, with '' over those levels,
+    ' over the others and P their total weight, so no w * inf is formed.
+    The weights of up to SWEEP_CHUNK // dim temperatures are formed at
+    once."""
     grid = [float(t) for t in T_grid]
     if any(not t > 0 for t in grid):
         raise ValueError("all temperatures must be positive")
@@ -477,26 +512,32 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
     step = max(1, SWEEP_CHUNK // len(spec))
     with np.errstate(over="ignore"):                  # dE and dE/T past the float range
         dE = spec.eigenvalues - e0
+        wide = np.flatnonzero(np.isinf(dE))
+        E_wide = spec.eigenvalues[wide]
+        dE[wide] = 0.0                                # their terms are formed from E
         for lo in range(0, len(grid), step):
             temps = grid[lo:lo + step]
+            T_col = np.array(temps)[:, None]
             # -dE/T and the weights in one block: as two blocks, freed together, they
             # went back to the OS after each call and were faulted in again on the next
             r, w = np.empty((2, len(temps), len(dE)))
-            np.divide(dE, -np.array(temps)[:, None], out=r)
+            np.divide(dE, -T_col, out=r)
+            r[:, wide] = e0 / T_col - E_wide / T_col
             np.exp(r, out=w)
             Ws = w.sum(axis=1)
             w *= (1 / Ws)[:, None]
-            weighed = w > 0                                   # no 0 * inf
-            np.copyto(r, 0.0, where=~weighed)
+            np.copyto(r, 0.0, where=w == 0)           # no 0 * inf
             r_means = np.einsum("ij,ij->i", w, r)
-            means = np.multiply(w, dE, out=w, where=weighed).sum(axis=1)
+            p_wide = w[:, wide]
+            means = np.multiply(w, dE, out=w).sum(axis=1)
+            means = (e0 * (1 - p_wide.sum(axis=1)) + means) + p_wide @ E_wide
             for T, W, r_mean, mean in zip(temps, Ws.tolist(), r_means.tolist(), means.tolist()):
                 log_w = math.log(W)
                 try:
                     Z = math.exp(-e0 / T + log_w)
                 except OverflowError:
                     Z = math.inf
-                points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w - r_mean, e0 + mean))
+                points.append(ThermoPoint(T, Z, e0 - T * log_w, log_w - r_mean, mean))
     return points
 
 

@@ -19,6 +19,9 @@ replaced, kept to check those paths against.
 - `digit_table_plan` is the placement of a bond matrix on every bond from a
   dim x N table of the index digits, as `_plan` placed it before it
   reshaped the index range: the `rows`, `cols` and `at` of its `ChainPlan`.
+- `einsum_oracle` is the dense oracle that `oracle_matrix` replaced: each
+  bond's two-site operator added into a writable `np.einsum` diagonal view
+  of an n x n array, bond by bond.
 - `reference_husimi` is the per-point, per-monomial loop that `husimi_q`
   ran before it went through one log-space array pass: the direct product,
   redone in logs where it underflows, and AmplitudeOverflow where psi(z) or
@@ -38,6 +41,7 @@ from bargmann.algebra import (MultiIndex, PolynomialState, Var, apply_term, mono
                               var_name, w_var, z_var)
 from bargmann.chain import bond_list, build_hamiltonian
 from bargmann.errors import AmplitudeOverflow, NotNormalized
+from bargmann.oracle import spin_matrices
 from bargmann.thermo import SectorMatrix
 
 
@@ -146,6 +150,33 @@ def digit_table_plan(twos: int, n_sites: int, boundary: str, h_keys: bytes):
     keys, at = np.unique(rows * dim + cols, return_inverse=True)
     rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
     return rows, cols, at.astype(np.int32)
+
+
+def einsum_oracle(spec) -> np.ndarray:
+    """Dense H = sum over bonds (a, b) of sum_k J_k S_k(a) S_k(b), float64.
+
+    The two-site operator sum_k J_k S_k (x) S_k is formed once as a
+    (d, d, d, d) array and added into the view of H that is diagonal on
+    every other site: with a < b, H is reshaped to (L, d, M, d, R) x
+    (L, d, M, d, R) with L = d^a, M = d^(b-a-1), R = d^(n-b-1), and the
+    view takes equal L, M and R indices on both sides.
+    """
+    d, n = int(2 * spec.spin) + 1, spec.n_sites
+    dim = d ** n
+    mats = spin_matrices(spec.spin, float(spec.hbar))
+    h = np.zeros((d,) * 4, dtype=np.complex128)   # [p, p', q, q'] = <p p'|h|q q'>
+    for J, S in zip(spec.couplings, (mats.sx, mats.sy, mats.sz)):
+        if J != 0.0:
+            h += J * (S[:, None, :, None] * S[None, :, None, :])
+    assert not h.imag.any(), "bond operator is not real"
+    H = np.zeros((dim, dim))
+    for (i, j) in spec.bonds():
+        a, b = min(i, j), max(i, j)
+        shape = (d ** a, d, d ** (b - a - 1), d, d ** (n - b - 1))
+        # l, m, r run along the diagonal; p, q pick the rows and P, Q the columns
+        view = np.einsum("lpmqrlPmQr->lmrpqPQ", H.reshape(shape + shape))
+        view += h.real
+    return H
 
 
 def reference_husimi(state: PolynomialState, points: Sequence[Sequence[complex]],

@@ -33,7 +33,6 @@ from bargmann.chain import (
     ChainSpec,
     _bond,
     _bond_tables,
-    _plans,
     build_hamiltonian,
     chain_matrix,
     mode_difference,
@@ -41,7 +40,7 @@ from bargmann.chain import (
     symmetry_reduction,
 )
 from bargmann.errors import AmplitudeOverflow, DimensionTooLarge, NotHermitian
-from bargmann.thermo import SectorMatrix, eigensolve
+from bargmann.thermo import SectorMatrix, _plans, eigensolve
 
 from reference import (
     as_sector_matrix,
@@ -628,7 +627,7 @@ class TestPlanBudget:
     @pytest.fixture
     def shapes(self, monkeypatch):
         """The key and the entries of each spec's plan, and a setter of PLAN_BUDGET."""
-        import bargmann.chain as chainmod
+        import bargmann.thermo as thermomod
         keys, sizes = [], []
         for spec in self.specs:
             _plans.clear()
@@ -637,7 +636,7 @@ class TestPlanBudget:
             keys.append(key)
             sizes.append(len(plan.rows))
         _plans.clear()
-        yield keys, sizes, lambda budget: monkeypatch.setattr(chainmod, "PLAN_BUDGET", budget)
+        yield keys, sizes, lambda budget: monkeypatch.setattr(thermomod, "PLAN_BUDGET", budget)
         _plans.clear()
 
     @staticmethod
@@ -674,14 +673,29 @@ class TestPlanBudget:
         assert list(_plans) == [keys[0]] and _plans[keys[0]] is kept[keys[0]]
         assert self.kept_entries() == sizes[0]
 
+    def test_oracle_patterns_share_the_budget(self, shapes):
+        from bargmann.chain import ChainPlan
+        from bargmann.oracle import OraclePlan, oracle_matrix
+        keys, sizes, set_budget = shapes
+        spec = self.specs[1]
+        solve(spec)
+        oracle = len(oracle_matrix(spec).rows)
+        assert [type(p) for p in _plans.values()] == [ChainPlan, OraclePlan]
+        assert self.kept_entries() == sizes[1] + oracle
+        set_budget(sizes[1] + oracle - 1)
+        _plans.clear()
+        for build, kind in [(solve, ChainPlan), (oracle_matrix, OraclePlan), (solve, ChainPlan)]:
+            build(spec)                     # each drops the other
+            assert [type(p) for p in _plans.values()] == [kind]
+
     def test_threads_share_the_cache_within_the_budget(self, monkeypatch):
-        import bargmann.chain as chainmod
+        import bargmann.thermo as thermomod
         specs = [ChainSpec(n_sites=n, spin=Fraction(1, 2), couplings=J, boundary=boundary)
                  for n in (4, 5, 6) for J in [(1.0, 1.0, 0.5), (1.0, 0.7, 0.3)]
                  for boundary in (OPEN, PERIODIC)]
         want = [chain_matrix(spec).vals.tobytes() for spec in specs]
         budget = 2 * max(len(chain_matrix(spec).rows) for spec in specs)
-        monkeypatch.setattr(chainmod, "PLAN_BUDGET", budget)
+        monkeypatch.setattr(thermomod, "PLAN_BUDGET", budget)
         _plans.clear()
         failures = []
 
@@ -690,7 +704,7 @@ class TestPlanBudget:
                 for i in range(150):
                     k = i * stride % len(specs)
                     assert chain_matrix(specs[k]).vals.tobytes() == want[k]
-                    with chainmod._plans_lock:
+                    with thermomod._plans_lock:
                         assert self.kept_entries() <= budget
             except Exception as e:      # a thread's failure is reported by the test
                 failures.append(e)
@@ -711,8 +725,8 @@ class TestPlanBudget:
 
 
 class TestOneCap:
-    """`solve`, `eigensolve` and `oracle_hamiltonian` obey BARGMANN_MAX_DIM,
-    read on each call, and raise before building anything."""
+    """`solve`, `eigensolve`, `oracle_matrix` and `oracle_hamiltonian` obey
+    BARGMANN_MAX_DIM, read on each call, and raise before building anything."""
 
     @pytest.fixture(autouse=True)
     def no_builders(self, monkeypatch, cold_bond_tables):
@@ -724,16 +738,18 @@ class TestOneCap:
 
         for module, name in [(chainmod, "build_hamiltonian"), (chainmod, "_bond"),
                              (chainmod, "_bond_tables"), (oraclemod, "spin_matrices"),
-                             (ChainSpec, "dimension")]:
+                             (oraclemod, "_oracle_plan"), (ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
 
     def test_api_reads_the_variable(self, monkeypatch):
-        from bargmann.oracle import oracle_hamiltonian
+        from bargmann.oracle import oracle_hamiltonian, oracle_matrix
         for cap in ("3", "7"):
             monkeypatch.setenv("BARGMANN_MAX_DIM", cap)
             message = f"dimension 8 exceeds cap {cap}"
             with pytest.raises(DimensionTooLarge, match=message):
                 solve(xxx_spec(3))
+            with pytest.raises(DimensionTooLarge, match=message):
+                oracle_matrix(xxx_spec(3))
             with pytest.raises(DimensionTooLarge, match=message):
                 oracle_hamiltonian(xxx_spec(3))
             with pytest.raises(DimensionTooLarge, match=message):

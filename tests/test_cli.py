@@ -8,6 +8,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bargmann import cli
@@ -235,6 +236,19 @@ class TestThermo:
                          "--tpoints", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
+    @pytest.mark.parametrize("tmin,tmax,n", [(0.1, 10.0, 200), (0.25, 100.0, 50), (3.0, 3.0, 4),
+                                             (5e-324, 1.7e308, 1000), (10.0, 0.1, 7), (2.0, 9.0, 2)])
+    def test_log_grid_in_python_floats(self, tmin, tmax, n):
+        # no numpy SIMD path forms the grid, and both ends are the given floats
+        grid = cli._log_grid(tmin, tmax, n)
+        assert len(grid) == n and all(type(t) is float and math.isfinite(t) for t in grid)
+        assert (grid[0], grid[-1]) == (tmin, tmax)
+        want = np.geomspace(tmin, tmax, n)
+        normal = want >= sys.float_info.min
+        # each formula rounds log T and e^x, off by up to |log T| ~ 745 ulps apart
+        assert np.allclose(np.array(grid)[normal], want[normal], rtol=1e-12, atol=0)
+        assert cli._log_grid(tmin, tmax, 1) == [tmin]
+
     @pytest.mark.parametrize("temp", ["1e-310", "5e-324"])
     @pytest.mark.parametrize("spin,Z,E0", [("1/2", "inf", "-1.00000000000e+00"),
                                            ("0", "1.00000000000e+00", "0.00000000000e+00")])
@@ -366,10 +380,14 @@ class TestVerify:
 
     def test_corrupted_pipeline_fails(self, tmp_path, capsys, monkeypatch):
         import bargmann.cli as climod
-        from bargmann.oracle import oracle_hamiltonian as real_oracle
+        from bargmann.oracle import oracle_matrix as real_oracle
+
+        def scaled(s):            # a 1.5x oracle, on the kept pattern of its shape
+            M = real_oracle(s)
+            return M.pattern.matrix(M.vals * 1.5)
+
         spec = write_spec(tmp_path)
-        monkeypatch.setattr(climod, "oracle_hamiltonian",
-                            lambda s: real_oracle(s) * 1.5)
+        monkeypatch.setattr(climod, "oracle_matrix", scaled)
         assert climod.main(["verify", "--spec", spec]) == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["passed"] is False
@@ -717,7 +735,8 @@ class TestOneCap:
 
         for module, name in [(cli, "format_monomial"), (chainmod, "build_hamiltonian"),
                              (chainmod, "_bond"), (chainmod, "_bond_tables"),
-                             (oraclemod, "spin_matrices"), (chainmod.ChainSpec, "dimension")]:
+                             (oraclemod, "spin_matrices"), (oraclemod, "_oracle_plan"),
+                             (chainmod.ChainSpec, "dimension")]:
             monkeypatch.setattr(module, name, fail)
         spec = write_spec(tmp_path, spin=spin, n_sites=n_sites)
         start = time.perf_counter()

@@ -2,8 +2,10 @@ import json
 import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from bargmann import cli
 from bargmann.chain import (
@@ -17,9 +19,28 @@ from bargmann.errors import DimensionMismatch, DimensionTooLarge
 from bargmann.oracle import (
     compare_spectra,
     oracle_hamiltonian,
+    oracle_matrix,
     spin_matrices,
 )
-from bargmann.thermo import Spectrum, eigensolve
+from bargmann.thermo import SectorMatrix, Spectrum, _plans, eigensolve
+
+from reference import einsum_oracle
+
+# spin 0 to 2 and N = 1..6 up to dimension 729
+CHAIN_SIZES = [(twos, n) for twos in range(5) for n in range(1, 7) if (twos + 1) ** n <= 729]
+# normal couplings and exact zeros: below the normal range a rounding errs by a
+# subnormal spacing, not by a share of its value
+COUPLING_ST = st.one_of(st.sampled_from([0.0, 1e-8, -1e8, 1.0]),
+                        st.floats(-3, 3).map(lambda x: round(x, 4)))
+
+
+@st.composite
+def oracle_specs(draw):
+    twos, n = draw(st.sampled_from(CHAIN_SIZES))
+    return ChainSpec(n_sites=n, spin=Fraction(twos, 2),
+                     couplings=draw(st.tuples(COUPLING_ST, COUPLING_ST, COUPLING_ST)),
+                     boundary=draw(st.sampled_from([OPEN, PERIODIC] if n > 1 else [OPEN])),
+                     hbar=draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 3)])))
 
 
 class TestSpinMatrices:
@@ -106,6 +127,60 @@ class TestOracleHamiltonian:
         assert H.dtype == np.float64 and H.flags.c_contiguous
         assert not ref.imag.any()
         assert np.array_equal(H, ref)
+
+
+class TestOracleMatrix:
+    """`oracle_matrix`, the bond operator placed on a kept per-shape pattern,
+    against `einsum_oracle`, the dense build it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_pinned(spec):
+        M = oracle_matrix(spec)
+        assert isinstance(M, SectorMatrix) and M.n == spec.dimension()
+        assert M.vals.dtype == np.float64
+        want = einsum_oracle(spec)
+        assert M.toarray().real.tobytes() == want.tobytes()
+        assert oracle_hamiltonian(spec).tobytes() == want.tobytes()
+        return M
+
+    @given(oracle_specs())
+    @example(ChainSpec(n_sites=2, spin=Fraction(1, 2), couplings=(1.1, -0.7, 0.4),
+                       boundary=PERIODIC))
+    @example(ChainSpec(n_sites=4, spin=Fraction(1), couplings=(0.0, 1.3, -0.4),
+                       boundary=PERIODIC, hbar=Fraction(3, 2)))
+    @example(ChainSpec(n_sites=3, spin=Fraction(3, 2), couplings=(0.0, 0.0, 0.0)))
+    @settings(max_examples=80)
+    def test_equals_einsum_build(self, spec):
+        self.assert_pinned(spec)
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+    def test_periodic_two_sites_doubles_the_bond(self, s):
+        # both bonds of the ring N=2 join sites 0 and 1: each entry is h + h
+        J, hbar = (1.1, -0.7, 0.4), Fraction(2, 3)
+        ring = self.assert_pinned(ChainSpec(n_sites=2, spin=s, couplings=J,
+                                            boundary=PERIODIC, hbar=hbar))
+        bond = oracle_matrix(ChainSpec(n_sites=2, spin=s, couplings=J, hbar=hbar))
+        assert ring.toarray().tobytes() == (2 * bond.toarray()).tobytes()
+
+    def test_pattern_kept_per_shape(self):
+        _plans.clear()
+        xyz = ChainSpec(n_sites=5, spin=Fraction(1), couplings=(1.0, 0.7, 0.3), boundary=PERIODIC)
+        first = self.assert_pinned(xyz)
+        # other couplings and hbar on the same nonzero pattern of the bond operator
+        for J, hbar in [((-0.4, 1.9, 2.5), Fraction(1)), ((1.0, 0.7, 0.3), Fraction(3, 2))]:
+            again = self.assert_pinned(ChainSpec(n_sites=5, spin=Fraction(1), couplings=J,
+                                                 boundary=PERIODIC, hbar=hbar))
+            assert again.pattern is first.pattern
+        assert len(_plans) == 1
+        # a coupling newly zero drops entries of the bond operator: a shape of its own
+        zero = self.assert_pinned(ChainSpec(n_sites=5, spin=Fraction(1), couplings=(1.0, 0.7, 0.0),
+                                            boundary=PERIODIC))
+        assert zero.pattern is not first.pattern and len(zero.rows) < len(first.rows)
+        assert oracle_matrix(xyz).pattern is first.pattern and len(_plans) == 2
+        for a in (first.rows, first.cols, first.pattern.at):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        _plans.clear()
 
 
 def _per_bond_kron_oracle(spec):
@@ -232,6 +307,13 @@ class TestCompareSpectra:
 
 
 class TestEntryWiseAgreement:
+    @given(oracle_specs())
+    @settings(max_examples=80)
+    def test_sector_matrix_is_the_oracle(self, spec):
+        # the sector index is the tensor-product index, entry for entry
+        M = chain_matrix(spec).toarray()
+        assert np.abs(M - oracle_matrix(spec).toarray()).max() <= 1e-12 * np.abs(M).max()
+
     @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1)])
     @pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
     def test_two_sites(self, s, boundary):

@@ -900,8 +900,10 @@ def xxx3_open_spectrum():
 
 
 def gibbs_entropy(levels, T):
-    """-sum p log p in Python floats, p = w / sum w with w = e^(-(E - E0)/T)."""
-    w = [math.exp(-((e - levels[0]) / T)) for e in levels]
+    """-sum p log p in Python floats, p = w / sum w with w = e^(-(E - E0)/T),
+    and (E - E0)/T as E/T - E0/T where E - E0 is past the float range."""
+    e0 = levels[0]
+    w = [math.exp(-((e - e0) / T if math.isfinite(e - e0) else e / T - e0 / T)) for e in levels]
     W = math.fsum(w)
     return -math.fsum(x / W * math.log(x / W) for x in w if x / W > 0)
 
@@ -952,6 +954,33 @@ class TestEntropyAtBothEnds:
             assert math.isfinite(p.free_energy) or T * math.log(len(spec)) > 1e308, p
             assert p.entropy == pytest.approx(gibbs_entropy(spec.eigenvalues.tolist(), T),
                                               rel=0, abs=1e-13), p
+
+    def test_levels_past_the_float_range_count(self):
+        # J = 1.5e308, N=3: the quartet's E - E0 = 2.25e308 overflows, while its
+        # (E - E0)/T = 1.3 at T = 1.7e308; dropped, it gave S = 1.2977
+        spec = solve(ChainSpec(n_sites=3, spin=HALF, couplings=(1.5e308,) * 3))
+        (p,) = thermo_sweep(spec, [1.7e308])
+        levels = spec.eigenvalues.tolist()
+        assert p.entropy == pytest.approx(gibbs_entropy(levels, 1.7e308), rel=1e-14, abs=0)
+        assert p.entropy > 1.9
+        w = [math.exp(levels[0] / 1.7e308 - e / 1.7e308) for e in levels]
+        want = math.fsum(x / math.fsum(w) * e for x, e in zip(w, levels))
+        assert p.mean_energy == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_dyadic_scale_law_up_to_the_largest_float(self):
+        # S(2H, 2T) = S(H, T) and <E>(2H, 2T) = 2 <E>(H, T): the doubled level span
+        # passes the float range, the halved one does not
+        half = solve(ChainSpec(n_sites=3, spin=HALF, couplings=(0.75e308,) * 3))
+        grid = [5e-324, 1e-300, 0.5, 1e300, 5e306, 1e307, 5e307, 0.85e308]
+        for spectrum in (Spectrum(2 * half.eigenvalues),
+                         solve(ChainSpec(n_sites=3, spin=HALF, couplings=(1.5e308,) * 3))):
+            lowest, highest = spectrum.eigenvalues[[0, -1]].tolist()
+            assert highest - lowest == math.inf
+            for T, lo, hi in zip(grid, thermo_sweep(half, grid),
+                                 thermo_sweep(spectrum, [2 * T for T in grid])):
+                assert hi.entropy == pytest.approx(lo.entropy, rel=1e-14, abs=0), T
+                assert hi.mean_energy == pytest.approx(2 * lo.mean_energy, rel=1e-14, abs=0), T
+                assert math.isfinite(hi.entropy) and math.isfinite(hi.mean_energy), T
 
     @pytest.mark.parametrize("levels, T", [([0.0, 1e-320], 1e-320), ([0.0, 3e-322], 1e-322)])
     def test_subnormal_level_gaps(self, levels, T):

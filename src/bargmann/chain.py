@@ -38,7 +38,8 @@ from .algebra import (
 )
 from .angular import j_operator
 from .errors import AmplitudeOverflow
-from .thermo import Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, eigensolve, sum_at
+from .thermo import (Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, eigensolve,
+                     placement, sum_at)
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -329,12 +330,10 @@ def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatr
 
 
 class ChainPlan(Pattern):
-    """The pattern of a chain's sector matrix M with all the index work of
-    its solve, which reads no value:
+    """The pattern of a chain's sector matrix M, the `Pattern` of its bond
+    placement (`_plan`), with the index work of its symmetry blocks, which
+    reads no value:
 
-    - `rows`, `cols` and the steps of `Pattern`: the partner map of the
-      Hermiticity gate and the block layout of an unreduced solve;
-    - `at`: the entry of M that each placement of the bond matrix goes to;
     - `maps`: the index maps of the symmetries of the chain `shape`
       (d, n_sites, boundary) with their partner maps, (name, map, order,
       partners) each: translation T on a periodic chain or reflection R on
@@ -351,9 +350,9 @@ class ChainPlan(Pattern):
     `tables` are built on first use.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, at=None, shape=None):
-        super().__init__(n, rows, cols)
-        self.at, self.tables = at, {}
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, placed=None, shape=None):
+        super().__init__(n, rows, cols, placed)
+        self.tables = {}
         self.maps = self.parity = None
         if shape is None:
             return
@@ -443,45 +442,32 @@ def _bond_tables(twos: int, hbar: Fraction, mode: str) -> tuple[SectorMatrix, ..
 
 
 def _plan(twos: int, n_sites: int, boundary: str, h_keys: bytes) -> ChainPlan:
-    """A new `ChainPlan` for the shape: M's pattern and sum map for a bond
-    matrix h with these row-major keys (int64), and, above
-    UNREDUCED_MAX_DIM, the symmetry maps.
-
-    With a < b the sites of bond (i, j), the index range reshaped to
-    (L, d, M, d, R), L = d^a, M = d^(b-a-1), R = d^(N-b-1), lists the
-    states by their digits at the two sites, all other digits equal; with
-    the axes of sites i and j put first it lists them by the local digits
-    a_i d + a_j, each in ascending order.  h's entry (a_i d + a_j,
-    b_i d + b_j) is placed on every bond at every (row, col) pair of those
-    lists.  The placements are ordered (bond in `bond_list` order, entry of
-    h, state), and M's pattern is their union.  The arrays are read-only.
-    """
+    """A new `ChainPlan` for the shape: the `placement` of a bond matrix h
+    with these row-major keys (int64) on the bonds of `bond_list`, and,
+    above UNREDUCED_MAX_DIM, the symmetry maps.  With a < b the sites of
+    bond (i, j), the index range reshaped to (L, d, M, d, R), L = d^a,
+    M = d^(b-a-1), R = d^(N-b-1), with the axes of sites i and j put first,
+    lists the states by the local digits a_i d + a_j that index h."""
     d = twos + 1
-    dim, dd = d ** n_sites, d * d
-    h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
-    bonds = bond_list(n_sites, boundary) if len(h_rows) else []    # spin 0 at any length
-    r = np.arange(dim)
-    keys = np.empty((len(bonds), len(h_rows), dim // dd), dtype=np.int64)
-    for k, (i, j) in enumerate(bonds):
+    r = np.arange(d ** n_sites)
+
+    def local(i, j):
         a, b = min(i, j), max(i, j)
-        local = np.moveaxis(r.reshape(d ** a, d, d ** (b - a - 1), d, d ** (n_sites - b - 1)),
-                            (1, 3) if i < j else (3, 1), (0, 1)).reshape(dd, -1)
-        keys[k] = local[h_rows] * dim + local[h_cols]
-    keys, at = np.unique(keys.ravel(), return_inverse=True)
-    rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
-    at = at.astype(np.int32)
-    for a in (rows, cols, at):
-        a.flags.writeable = False
-    shape = (d, n_sites, boundary) if dim > UNREDUCED_MAX_DIM else None
-    return ChainPlan(dim, rows, cols, at, shape)
+        return np.moveaxis(r.reshape(d ** a, d, d ** (b - a - 1), d, d ** (n_sites - b - 1)),
+                           (1, 3) if i < j else (3, 1), (0, 1)).reshape(d * d, -1)
+
+    shape = (d, n_sites, boundary) if len(r) > UNREDUCED_MAX_DIM else None
+    return ChainPlan(*placement(d, n_sites, np.frombuffer(h_keys, dtype=np.int64),
+                                lambda: bond_list(n_sites, boundary), local), shape)
 
 
 def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     """The chain's sector matrix: the matrix of `build_hamiltonian(spec)` up
     to rounding, without building the whole-chain polynomial.
 
-    The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`) is
-    placed on every bond, and the contributions to an entry are summed in
+    The bond matrix h = sum over J_a != 0 of J_a T_a (`_bond_tables`, not
+    filled for one site, where h is 0) is placed on every bond
+    (`Pattern.place`), the contributions to an entry summed in
     `spec.bonds()` order; the values are float64 when h is real.  The
     entries are the union of the placements, so one whose contributions
     cancel is a stored zero.  The matrix's `pattern` is the shape's
@@ -490,19 +476,16 @@ def chain_matrix(spec: ChainSpec) -> SectorMatrix:
     Raises AmplitudeOverflow if an entry is beyond the float range.
     """
     d, n = int(2 * spec.spin) + 1, spec.n_sites
-    bonds = spec.bonds()
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.complex128))]
-    if bonds:
+    if n > 1:
         tables = _bond_tables(d - 1, spec.hbar, spec.mode)
         with np.errstate(over="ignore", invalid="ignore"):
             parts += [(T.rows, T.cols, J * T.vals)
                       for J, T in zip(spec.couplings, tables) if J != 0.0]
     h = SectorMatrix.from_triplets(d * d, *map(np.concatenate, zip(*parts)))
     plan = _kept_plan(_plan, d - 1, n, spec.boundary, (h.rows * (d * d) + h.cols).tobytes())
-    h_vals = h.vals if h.vals.imag.any() else h.vals.real
-    placed = np.broadcast_to(h_vals[:, None], (len(bonds), h.nnz, plan.n // (d * d)))
-    M = plan.matrix(sum_at(plan.at, placed.ravel(), len(plan.rows)))
+    M = plan.place(h.vals if h.vals.imag.any() else h.vals.real)
     if not np.isfinite(M.vals).all():
         raise AmplitudeOverflow("a summed matrix element is beyond the float range")
     return M

@@ -4,9 +4,12 @@ The same chain Hamiltonians on the tensor-product basis, built from the
 standard spin-s matrices and sharing nothing with the holomorphic path
 beyond the ChainSpec.  Each bond's two-site operator is placed on the pairs
 of states that differ at the bond's two sites alone, as the sparse entries
-of H, so no identity factor and no n x n array is ever formed.  Phase
-convention is Condon-Shortley (real non-negative ladder elements), so
-agreement with the sector matrices is entry-wise, not just spectral.
+of H, so no identity factor and no n x n array is ever formed.  The
+operator and each bond's listing of states are the oracle's own; the
+placement step shared with the sector matrices (`thermo.placement`) reads
+no matrix element.  Phase convention is Condon-Shortley (real
+non-negative ladder elements), so agreement with the sector matrices is
+entry-wise, not just spectral.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import DimensionMismatch
-from .thermo import Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, sum_at
+from .thermo import Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, placement
 
 
 @dataclass(frozen=True)
@@ -49,44 +52,22 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinMatrices:
     return SpinMatrices(s=sf, sx=sx, sy=sy, sz=sz)
 
 
-class OraclePlan(Pattern):
-    """The pattern of the oracle's H for one shape, with `at`, the entry of
-    H that each placement of the bond operator goes to."""
+def _oracle_plan(d: int, n_sites: int, boundary: str, h_keys: bytes) -> Pattern:
+    """The `placement` of a bond operator h with these nonzero row-major
+    keys (int64) on the bonds of `ChainSpec.bonds`, which depend on n_sites
+    and the boundary alone.  With a < b the sites of a bond, the index range
+    reshaped to (L, d, M, d, R), L = d^a, M = d^(b-a-1), R = d^(n-b-1),
+    lists the states by their digits p at site a and q at site b, as h's
+    rows and columns are indexed (p d + q)."""
+    states = np.arange(d ** n_sites)
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, at: np.ndarray):
-        super().__init__(n, rows, cols)
-        self.at = at
-
-
-def _oracle_plan(d: int, n_sites: int, bonds: tuple, h_keys: bytes) -> OraclePlan:
-    """The `OraclePlan` of a chain of `n_sites` sites of dimension d on
-    `bonds` (`spec.bonds()`, fixed by n_sites and the boundary), for a bond
-    operator h whose nonzero entries have these row-major keys (int64) in
-    its (d^2, d^2) matrix.
-
-    With a < b the sites of a bond, the index range reshaped to
-    (L, d, M, d, R), L = d^a, M = d^(b-a-1), R = d^(n-b-1), lists the states
-    by their digits p at site a and q at site b, all other digits equal;
-    h's entry (p d + q, P d + Q) is placed at every (row, col) pair of the
-    states with digits (p, q) and (P, Q) and the same other digits.  The
-    placements are ordered (bond, entry of h, state), and H's entries are
-    their union, sorted row-major.  The arrays are read-only.
-    """
-    dim, dd = d ** n_sites, d * d
-    h_rows, h_cols = np.divmod(np.frombuffer(h_keys, dtype=np.int64), dd)
-    states = np.arange(dim)
-    keys = np.empty((len(bonds), len(h_rows), dim // dd), dtype=np.int64)
-    for k, (i, j) in enumerate(bonds):
+    def local(i, j):
         a, b = min(i, j), max(i, j)
         lpmqr = states.reshape(d ** a, d, d ** (b - a - 1), d, d ** (n_sites - b - 1))
-        local = lpmqr.transpose(1, 3, 0, 2, 4).reshape(dd, -1)      # [p d + q, (l, m, r)]
-        keys[k] = local[h_rows] * dim + local[h_cols]
-    keys, at = np.unique(keys.ravel(), return_inverse=True)
-    rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
-    at = at.astype(np.int32)
-    for x in (rows, cols, at):
-        x.flags.writeable = False
-    return OraclePlan(dim, rows, cols, at)
+        return lpmqr.transpose(1, 3, 0, 2, 4).reshape(d * d, -1)     # [p d + q, (l, m, r)]
+
+    bonds = ChainSpec(n_sites, Fraction(d - 1, 2), (0, 0, 0), boundary).bonds
+    return Pattern(*placement(d, n_sites, np.frombuffer(h_keys, dtype=np.int64), bonds, local))
 
 
 def oracle_matrix(spec: ChainSpec) -> SectorMatrix:
@@ -96,15 +77,16 @@ def oracle_matrix(spec: ChainSpec) -> SectorMatrix:
     (d^2, d^2) matrix, rows and columns indexed by p d + q, the digits of
     the bond's first and second site.  It is real (S_y (x) S_y is), so H is
     float64; a nonzero imaginary part in it is an AssertionError.  Its
-    nonzero entries are placed on every bond (`_oracle_plan`), and the
+    nonzero entries are placed on every bond (`Pattern.place`), and the
     contributions to an entry of H are summed in `spec.bonds()` order, so
     each entry is the float sum of the dense build that adds h into H bond
     by bond.  An entry whose contributions cancel is a stored zero.
 
-    The index work is the shape's `OraclePlan`: d, n_sites, the bonds and
-    h's nonzero pattern, never a coupling or hbar value.  It is kept with
-    the chain plans (`thermo._kept_plan`), and with it the mirror and block
-    layout of `eigensolve`.  `check_cap` runs before anything is built.
+    The index work is the shape's placement (`_oracle_plan`): d, n_sites,
+    the boundary and h's nonzero pattern, never a coupling or hbar value.
+    It is kept with the chain plans (`thermo._kept_plan`), and with it the
+    mirror and block layout of `eigensolve`.  `check_cap` runs before
+    anything is built.
     """
     d, n = int(2 * spec.spin) + 1, spec.n_sites
     check_cap(d, n)
@@ -116,10 +98,7 @@ def oracle_matrix(spec: ChainSpec) -> SectorMatrix:
     assert not h.imag.any(), "bond operator is not real"
     h = h.real.reshape(-1)
     keys = np.flatnonzero(h).astype(np.int64)
-    bonds = tuple(spec.bonds()) if len(keys) else ()     # an h of zeros places nothing
-    plan = _kept_plan(_oracle_plan, d, n, bonds, keys.tobytes())
-    placed = np.broadcast_to(h[keys][:, None], (len(bonds), len(keys), plan.n // (d * d)))
-    return plan.matrix(sum_at(plan.at, placed.ravel(), len(plan.rows)))
+    return _kept_plan(_oracle_plan, d, n, spec.boundary, keys.tobytes()).place(h[keys])
 
 
 def oracle_hamiltonian(spec: ChainSpec) -> np.ndarray:

@@ -82,17 +82,29 @@ class Pattern:
     - `layout(vals)`: the blocks of `_block_eigh` for the nonzero and
       complex entries of the last values that asked (one layout is kept).
 
-    `matrix(vals)` puts values on the pattern.  The pattern of a chain's
-    sector matrix is the shape's `chain.ChainPlan`, which
-    `chain.chain_matrix` keeps, and that of the oracle's the shape's
-    `oracle.OraclePlan`, which `oracle.oracle_matrix` keeps, both with
-    `_kept_plan`; any other `SectorMatrix` gets a pattern of its own, on
-    which both steps run on the spot.  Index maps are int32, so a pattern
-    holds fewer than 2**31 entries."""
+    `matrix(vals)` puts values on the pattern, and `place(h)` a bond
+    operator's on a pattern of `placement`, whose `at` holds the entry of
+    each placement.  The pattern of a chain's sector matrix is the shape's
+    `chain.ChainPlan`, which `chain.chain_matrix` keeps, and that of the
+    oracle's a plain placement, which `oracle.oracle_matrix` keeps, both
+    with `_kept_plan`; any other `SectorMatrix` gets a pattern of its own,
+    on which both pattern steps run on the spot.  Index maps are int32, so
+    a pattern holds fewer than 2**31 entries."""
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
-        self.n, self.rows, self.cols = n, rows, cols
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, placed=None):
+        self.n, self.rows, self.cols, self._placed = n, rows, cols, placed
         self._mirror = self._layout = None
+
+    @property
+    def at(self) -> np.ndarray:
+        """The entry of each placement, flat in (bond, entry of h, state) order."""
+        return self._placed.reshape(-1)
+
+    def place(self, h: np.ndarray) -> "SectorMatrix":
+        """The matrix of the bond operator with nonzero values `h`, in key
+        order, summed at each entry in (bond, entry of h, state) order."""
+        placed = np.broadcast_to(h[:, None], self._placed.shape)
+        return self.matrix(sum_at(self.at, placed.ravel(), len(self.rows)))
 
     def matrix(self, vals: np.ndarray) -> "SectorMatrix":
         """The `SectorMatrix` with `vals` at the pattern's entries, which
@@ -225,6 +237,30 @@ def sum_at(inverse: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(summed, inverse, vals)
     return summed
+
+
+def placement(d: int, n_sites: int, h_keys: np.ndarray, bonds, local) -> tuple:
+    """The `Pattern` (n, rows, cols, at) of a bond operator h, whose nonzero
+    entries have the row-major keys `h_keys` (int64) in its (d^2, d^2)
+    matrix, on every bond of `bonds()`, called only when h has an entry.
+    Row p of `local(i, j)` lists the states with digits p at the sites of
+    bond (i, j), the other digits alike down each column; h's entry (p, q)
+    goes to every (row, col) pair of rows p and q.  `at` (bond, entry of h,
+    state) locates each in the pattern, their union sorted row-major.  The
+    arrays are int32 and read-only."""
+    n, dd = d ** n_sites, d * d
+    h_rows, h_cols = np.divmod(h_keys, dd)
+    listed = bonds() if len(h_keys) else []         # an h of zeros places nothing
+    keys = np.empty((len(listed), len(h_keys), n // dd), dtype=np.int64)
+    for k, (i, j) in enumerate(listed):
+        states = local(i, j)
+        keys[k] = states[h_rows] * n + states[h_cols]
+    entries, at = np.unique(keys.ravel(), return_inverse=True)
+    rows, cols = (x.astype(np.int32) for x in np.divmod(entries, n))
+    at = at.astype(np.int32).reshape(keys.shape)
+    for x in (rows, cols, at):
+        x.flags.writeable = False
+    return n, rows, cols, at
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:

@@ -453,6 +453,31 @@ class TestChainMatrix:
         assert got.eigenvalues.tolist() == [0.0]
         assert peak < 16 * 2 ** 20
 
+    def test_spin_zero_lists_no_bond(self, monkeypatch):
+        # the bond matrix of spin 0 is empty, so nothing is placed and no bond is listed:
+        # a list of the 10**6 bonds alone would take over 100 MB
+        import bargmann.chain as chainmod
+        from bargmann.oracle import oracle_matrix
+
+        def fail(*args):
+            raise AssertionError("listed the bonds")
+
+        monkeypatch.setattr(chainmod, "bond_list", fail)
+        spec = ChainSpec(n_sites=10 ** 6, spin=Fraction(0), couplings=(1.0, 0.7, 0.3),
+                         boundary=PERIODIC)
+        _plans.clear()
+        tracemalloc.start()
+        try:
+            got = solve(spec)
+            oracle = oracle_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _plans.clear()
+        assert got.eigenvalues.tolist() == [0.0]
+        assert (oracle.n, oracle.nnz) == (1, 0)
+        assert peak < 4 * 2 ** 20
+
 
 @st.composite
 def plan_cases(draw):
@@ -674,19 +699,19 @@ class TestPlanBudget:
         assert self.kept_entries() == sizes[0]
 
     def test_oracle_patterns_share_the_budget(self, shapes):
-        from bargmann.chain import ChainPlan
-        from bargmann.oracle import OraclePlan, oracle_matrix
+        from bargmann.chain import _plan
+        from bargmann.oracle import _oracle_plan, oracle_matrix
         keys, sizes, set_budget = shapes
         spec = self.specs[1]
         solve(spec)
         oracle = len(oracle_matrix(spec).rows)
-        assert [type(p) for p in _plans.values()] == [ChainPlan, OraclePlan]
+        assert [key[0] for key in _plans] == [_plan, _oracle_plan]
         assert self.kept_entries() == sizes[1] + oracle
         set_budget(sizes[1] + oracle - 1)
         _plans.clear()
-        for build, kind in [(solve, ChainPlan), (oracle_matrix, OraclePlan), (solve, ChainPlan)]:
+        for build, kind in [(solve, _plan), (oracle_matrix, _oracle_plan), (solve, _plan)]:
             build(spec)                     # each drops the other
-            assert [type(p) for p in _plans.values()] == [kind]
+            assert [key[0] for key in _plans] == [kind]
 
     def test_threads_share_the_cache_within_the_budget(self, monkeypatch):
         import bargmann.thermo as thermomod

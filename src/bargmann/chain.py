@@ -39,7 +39,7 @@ from .algebra import (
 from .angular import j_operator
 from .errors import AmplitudeOverflow
 from .thermo import (Pattern, SectorMatrix, Spectrum, _kept_plan, check_cap, eigensolve,
-                     placement, sum_at)
+                     placement, sum_at, union)
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -56,6 +56,16 @@ def exact_number(value, name: str) -> Fraction:
         return Fraction(value)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+
+
+def json_object(obj, what: str, keys) -> dict:
+    """`obj`, a JSON object with every key of `keys`; else a ValueError naming `what`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -110,8 +120,9 @@ class ChainSpec:
         return int(2 * self.spin + 1) ** self.n_sites
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ChainSpec":
-        n_sites = obj["n_sites"]
+    def from_json(cls, obj: dict, what: str = "chain spec") -> "ChainSpec":
+        """The spec in the JSON object `obj`, which `what` names in an error."""
+        n_sites = json_object(obj, what, ("n_sites", "spin", "jx", "jy", "jz"))["n_sites"]
         return cls(
             n_sites=int(n_sites) if isinstance(n_sites, str) else n_sites,
             spin=obj["spin"],
@@ -124,7 +135,7 @@ class ChainSpec:
     @classmethod
     def from_file(cls, path) -> "ChainSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            return cls.from_json(json.load(fh), f"spec file {path}")
 
 
 def bond_list(n_sites: int, boundary: str) -> list[tuple[int, int]]:
@@ -211,10 +222,10 @@ class SymmetryTables:
     index r.  The tables hold the group's characters, the orbits, the
     entries (r, b) of the pattern in representative columns b with their
     factors sqrt(|S_a| / |S_b|), the pairings of `symmetry_blocks`, and, per
-    set of kept characters (`gather`), where each entry's terms go in K and
-    K's own `Pattern`.  `parity` (0 or 1 per index, or None) enters only
-    through the pairing rule.  Index maps are int32 and the character of a
-    term is stored as its number of turns.
+    set of kept characters (`gather`), the entry of K of each term, in K's
+    `Pattern`, the `union` of their keys and mirrors.  `parity` (0 or 1 per
+    index, or None) enters only through the pairing rule.  Index maps are
+    int32 and the character of a term is stored as its number of turns.
     """
 
     def __init__(self, pattern: Pattern, generators, parity=None):
@@ -262,8 +273,7 @@ class SymmetryTables:
 
     def gather(self, chars: np.ndarray):
         """For the kept characters `chars` (ascending): K's `Pattern`, the
-        character of each kept index, and the maps that sum the terms into
-        K and K into its Hermitian average (see `symmetry_blocks`)."""
+        character of each kept index, and the entry of K of each term."""
         key = chars.tobytes()
         if key not in self._gathers:
             which, kept = np.nonzero(self.compat[chars])
@@ -272,16 +282,10 @@ class SymmetryTables:
             krow, kcol = pos[:, self._a], pos[:, self._b]
             char, term = np.nonzero((krow >= 0) & (kcol >= 0))
             n = len(kept)
-            keys, sums = np.unique(krow[char, term] * n + kcol[char, term], return_inverse=True)
-            both, mirror = np.unique(np.concatenate([keys, keys % n * n + keys // n]),
-                                     return_inverse=True)
+            rows, cols, at = union(n, np.stack([krow * n + kcol, kcol * n + krow])[:, char, term])
             turn = self.t[chars[char], self._to_rep[term]]
-            pattern = Pattern(n, *(x.astype(np.int32) for x in np.divmod(both, n)))
-            for a in (pattern.rows, pattern.cols):
-                a.flags.writeable = False
-            self._gathers[key] = (pattern, which, term.astype(np.int32),
-                                  turn.astype(np.min_scalar_type(len(self.root) - 1)),
-                                  sums.astype(np.int32), len(keys), mirror.astype(np.int32))
+            self._gathers[key] = (Pattern(n, rows, cols), which, term.astype(np.int32),
+                                  turn.astype(np.min_scalar_type(len(self.root) - 1)), at[0])
         return self._gathers[key]
 
 
@@ -300,7 +304,7 @@ def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatr
     the orbit of a.  K is indexed by character (l order: the first generator's
     exponent slowest), then by representative, ascending; each block has the
     size (1/|G|) sum_e chi_m(e) fix(e).  K is summed first and then averaged
-    with its mirror, K <- (K + K^dag)/2, so it is Hermitian by construction.
+    through the mirror of its pattern, K <- K/2 + K^dag/2, so it is Hermitian.
     Its entries are those the pattern of M can reach, terms that cancel
     kept as stored zeros.
 
@@ -322,10 +326,10 @@ def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatr
     if t.flip is not None and not M.vals[t.breaking].any():
         mult = np.where(t.exps[:, t.flip] == 0, 2 * mult, 0)
     chars = np.flatnonzero(mult)
-    pattern, which, term, turn, sums, n_sums, mirror = t.gather(chars)
+    pattern, which, term, turn, at = t.gather(chars)
     v = M.vals[t.hit] * t.factor
-    K = sum_at(sums, v[term] * t.root[turn], n_sums)
-    K = sum_at(mirror, np.concatenate([K, K.conj()]) / 2, len(pattern.rows))
+    K = sum_at(at, v[term] * t.root[turn], len(pattern.rows))
+    K = (K / 2 + 0.0) + K[pattern.mirror[0]].conj() / 2
     return pattern.matrix(K), mult[chars][which]
 
 
@@ -341,8 +345,7 @@ class ChainPlan(Pattern):
       and `parity`, of the digit sum when (d - 1) n_sites is odd.  Both
       are None without a shape, when M is solved unreduced;
     - `tables`: the `SymmetryTables` of each set of generators that passes
-      the invariance checks, by their names, each keeping the maps into K
-      and K's `Pattern` per set of kept characters.
+      the invariance checks, by their names.
 
     One plan serves every chain of a shape: 2s, n_sites, the boundary and
     the nonzero pattern of the bond matrix h, never a coupling, hbar or
@@ -502,10 +505,8 @@ def solve(spec: ChainSpec) -> Spectrum:
     The index work is the chain shape's `ChainPlan`, which `chain_matrix`
     keeps within `thermo.PLAN_BUDGET` entries.  Every call computes values
     alone, in the same order, so its result is the same to the bit cold or
-    warm, and runs every gate on its own values.  The saving is for a process
-    that solves one shape again (a coupling scan, `verify
-    --random-trials`); a one-shot call builds the plan once and never reads
-    it again.
+    warm, and runs every gate on its own values; a one-shot call builds the
+    plan and never reads it again.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.

@@ -46,6 +46,7 @@ from .chain import (
     ChainSpec,
     check_dimension,
     exact_number,
+    json_object,
     mode_difference,
     solve,
 )
@@ -83,11 +84,7 @@ def _write_out(args, text: str):
 
 def _load_spec(args) -> ChainSpec:
     spec = ChainSpec.from_file(args.spec)
-    overrides = {}
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if getattr(args, "boundary", None):
-        overrides["boundary"] = args.boundary
+    overrides = {k: getattr(args, k) for k in ("mode", "boundary") if getattr(args, k, None)}
     return dataclasses.replace(spec, **overrides) if overrides else spec
 
 
@@ -98,9 +95,10 @@ def _finite_number(x) -> bool:
 
 def _load_state(path) -> PolynomialState:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json_object(json.load(fh), f"state file {path}", ("amplitudes",))
     amps = {}
-    for entry in obj["amplitudes"]:
+    for k, entry in enumerate(obj["amplitudes"]):
+        json_object(entry, f"state file {path}: amplitude {k}", ("monomial",))
         try:
             m = parse_monomial(entry["monomial"])
         except ParseError as e:
@@ -255,7 +253,7 @@ def _coordinate(c) -> complex:
 def cmd_husimi(args) -> int:
     state = _load_state(args.state)
     with open(args.points, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json_object(json.load(fh), f"points file {args.points}", ("points",))
     variables = None
     if "variables" in obj:
         variables = []

@@ -246,8 +246,7 @@ def placement(d: int, n_sites: int, h_keys: np.ndarray, bonds, local) -> tuple:
     Row p of `local(i, j)` lists the states with digits p at the sites of
     bond (i, j), the other digits alike down each column; h's entry (p, q)
     goes to every (row, col) pair of rows p and q.  `at` (bond, entry of h,
-    state) locates each in the pattern, their union sorted row-major.  The
-    arrays are int32 and read-only."""
+    state) locates each in the pattern, their `union`."""
     n, dd = d ** n_sites, d * d
     h_rows, h_cols = np.divmod(h_keys, dd)
     listed = bonds() if len(h_keys) else []         # an h of zeros places nothing
@@ -255,12 +254,18 @@ def placement(d: int, n_sites: int, h_keys: np.ndarray, bonds, local) -> tuple:
     for k, (i, j) in enumerate(listed):
         states = local(i, j)
         keys[k] = states[h_rows] * n + states[h_cols]
-    entries, at = np.unique(keys.ravel(), return_inverse=True)
-    rows, cols = (x.astype(np.int32) for x in np.divmod(entries, n))
-    at = at.astype(np.int32).reshape(keys.shape)
-    for x in (rows, cols, at):
+    return n, *union(n, keys)
+
+
+def union(n: int, keys: np.ndarray) -> tuple:
+    """The entries (rows, cols) of a `Pattern` on the row-major keys `keys`
+    (int64) of an n x n matrix, one per distinct key, sorted, and the entry
+    of each key, shaped like `keys`; int32 and read-only."""
+    entries, at = np.unique(keys, return_inverse=True)
+    out = tuple(x.astype(np.int32) for x in (*np.divmod(entries, n), at.reshape(keys.shape)))
+    for x in out:
         x.flags.writeable = False
-    return n, rows, cols, at
+    return out
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -579,11 +584,7 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
 
 def _f17(x: float) -> str:
     """17 significant digits; inf and NaN as json.dumps writes them."""
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.16e}"
+    return f"{x:.16e}" if math.isfinite(x) else json.dumps(x)
 
 
 def to_json(x) -> str:

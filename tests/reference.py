@@ -19,6 +19,10 @@ replaced, kept to check those paths against.
 - `digit_table_plan` is the placement of a bond matrix on every bond from a
   dim x N table of the index digits, as `_plan` placed it before it
   reshaped the index range: the `rows`, `cols` and `at` of its `ChainPlan`.
+- `two_unique_blocks` is `symmetry_blocks` as it gathered K before K's
+  pattern came from one keyed union: the terms summed at their distinct
+  keys, found by one `np.unique`, and that K averaged with its conjugate
+  onto the union of the keys and their mirrors, found by a second.
 - `einsum_oracle` is the dense oracle that `oracle_matrix` replaced: each
   bond's two-site operator added into a writable `np.einsum` diagonal view
   of an n x n array, bond by bond.
@@ -42,7 +46,7 @@ from bargmann.algebra import (MultiIndex, PolynomialState, Var, apply_term, mono
 from bargmann.chain import bond_list, build_hamiltonian
 from bargmann.errors import AmplitudeOverflow, NotNormalized
 from bargmann.oracle import spin_matrices
-from bargmann.thermo import SectorMatrix
+from bargmann.thermo import SectorMatrix, sum_at
 
 
 def states(spec) -> tuple[MultiIndex, ...]:
@@ -150,6 +154,37 @@ def digit_table_plan(twos: int, n_sites: int, boundary: str, h_keys: bytes):
     keys, at = np.unique(rows * dim + cols, return_inverse=True)
     rows, cols = (x.astype(np.int32) for x in np.divmod(keys, dim))
     return rows, cols, at.astype(np.int32)
+
+
+def two_unique_blocks(M, tables):
+    """The `rows`, `cols` and `vals` of K in `symmetry_blocks(M, tables)`,
+    and the multiplicity of each kept index: the kept characters by the
+    same pairing rules, the terms summed at their distinct keys, and K
+    summed with its conjugate, each halved, onto the union of the keys and
+    their mirrors."""
+    t = tables
+    mult = np.ones(t.size, dtype=np.int64)
+    if not M.vals.imag.any():
+        here = np.arange(t.size)
+        mult = np.where(t.conj < here, 0, np.where(t.conj > here, 2, 1))
+    if t.flip is not None and not M.vals[t.breaking].any():
+        mult = np.where(t.exps[:, t.flip] == 0, 2 * mult, 0)
+    chars = np.flatnonzero(mult)
+    which, kept = np.nonzero(t.compat[chars])
+    pos = np.full((len(chars), t.n), -1, dtype=np.int64)
+    pos[which, t.reps[kept]] = np.arange(len(kept))
+    krow, kcol = pos[:, t._a], pos[:, t._b]
+    char, term = np.nonzero((krow >= 0) & (kcol >= 0))
+    n = len(kept)
+    keys, sums = np.unique(krow[char, term] * n + kcol[char, term], return_inverse=True)
+    both, mirror = np.unique(np.concatenate([keys, keys % n * n + keys // n]),
+                             return_inverse=True)
+    turn = t.t[chars[char], t._to_rep[term]]
+    v = M.vals[t.hit] * t.factor
+    K = sum_at(sums, v[term] * t.root[turn], len(keys))
+    K = sum_at(mirror, np.concatenate([K, K.conj()]) / 2, len(both))
+    rows, cols = np.divmod(both, n)
+    return rows, cols, K, mult[chars][which]
 
 
 def einsum_oracle(spec) -> np.ndarray:

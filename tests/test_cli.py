@@ -713,6 +713,27 @@ class TestExitCodes:
         r = run_cli(["frobnicate"])
         assert r.returncode != 0
 
+    @pytest.mark.parametrize("kind,content,message", [
+        ("spec", [1, 2], " must hold a JSON object"),
+        ("spec", {"n_sites": 2, "spin": "1/2", "jx": 1, "jy": 1}, " has no 'jz'"),
+        ("state", [], " must hold a JSON object"),
+        ("state", {"amps": []}, " has no 'amplitudes'"),
+        ("state", {"amplitudes": [3]}, ": amplitude 0 must hold a JSON object"),
+        ("state", {"amplitudes": [{"re": 1.0}]}, ": amplitude 0 has no 'monomial'"),
+        ("points", [1], " must hold a JSON object"),
+        ("points", {"variables": ["z[0]"]}, " has no 'points'")])
+    def test_malformed_file_names_what_is_wrong_exit_2(self, tmp_path, capsys, kind, content,
+                                                       message):
+        paths = {"spec": write_spec(tmp_path),
+                 "state": write_state(tmp_path, [{"monomial": "z[0]", "re": 1.0}]),
+                 "points": str(tmp_path / "points.json")}
+        Path(paths["points"]).write_text(json.dumps({"points": [[[0.0, 0.0]]]}))
+        Path(paths[kind]).write_text(json.dumps(content))
+        command = (["diag", "--spec", paths["spec"]] if kind == "spec" else
+                   ["husimi", "--state", paths["state"], "--points", paths["points"]])
+        assert cli.main(command) == 2
+        assert capsys.readouterr() == ("", f"error: {kind} file {paths[kind]}{message}\n")
+
 
 HUGE_CHAINS = [("2", 100000000, "5**100000000"), ("1/2", 20000, "2**20000")]
 CHAIN_COMMANDS = [["basis"], ["diag"], ["thermo", "--temps", "1"], ["verify"]]

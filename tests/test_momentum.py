@@ -20,6 +20,7 @@ from bargmann.chain import (
     OPEN,
     PAPER_LITERAL,
     PERIODIC,
+    ChainPlan,
     ChainSpec,
     SymmetryTables,
     build_hamiltonian,
@@ -31,7 +32,7 @@ from bargmann.chain import (
 from bargmann.errors import NotHermitian
 from bargmann.thermo import SectorMatrix, _components, eigensolve
 
-from reference import as_sector_matrix, reference_assemble, whole_chain_matrix
+from reference import as_sector_matrix, reference_assemble, two_unique_blocks, whole_chain_matrix
 
 HALF = Fraction(1, 2)
 
@@ -215,6 +216,37 @@ def test_spectrum_matches_unblocked(spin, n, boundary, mode):
             assert len(got) == len(plain)
             assert np.abs(got.eigenvalues - plain.eigenvalues).max() <= 1e-12 * scale, couplings
             assert got.residual_bound <= 1e-8 * scale * len(got)
+
+
+def assert_keyed_union(pattern, *maps):
+    """int32, read-only index arrays, the pattern's in strictly increasing
+    row-major keys."""
+    for a in (pattern.rows, pattern.cols, *maps):
+        assert a.dtype == np.int32 and not a.flags.writeable
+    assert (np.diff(pattern.rows.astype(np.int64) * pattern.n + pattern.cols) > 0).all()
+
+
+@pytest.mark.parametrize("spin,n", LADDER)
+@pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+@pytest.mark.parametrize("mode", [COMPOSITIONAL, PAPER_LITERAL])
+def test_blocks_equal_two_unique_gather_bit_for_bit(spin, n, boundary, mode):
+    # K on one keyed union, averaged through its pattern's mirror, against the
+    # gather that summed at the distinct keys and averaged onto a second union;
+    # entries of 5e-324 tell a/2 + b/2 from (a + b)/2 and a -0.0 from a 0.0
+    for couplings in COUPLINGS + [(1.0, 1e-310, 0.3), (3e-323, 2e-323, 1e-323)]:
+        spec = ChainSpec(n_sites=n, spin=spin, couplings=couplings, boundary=boundary,
+                         mode=mode)
+        M = chain_matrix(spec)
+        assert_keyed_union(M.pattern, M.pattern.at)
+        plan = ChainPlan(M.n, M.rows, M.cols, shape=(int(2 * spin) + 1, n, boundary))
+        K, mult = plan.reduce(M)
+        (tables,) = plan.tables.values()
+        rows, cols, vals, want_mult = two_unique_blocks(M, tables)
+        assert np.array_equal(K.rows, rows) and np.array_equal(K.cols, cols)
+        assert K.vals.dtype == vals.dtype and K.vals.tobytes() == vals.tobytes(), couplings
+        assert np.array_equal(mult, want_mult)
+        assert_keyed_union(K.pattern)
+        assert len(K.pattern.mirror[1]) == 0
 
 
 # (n_sites, spin, couplings, boundary, mode): kept dimension, {multiplicity: kept

@@ -52,8 +52,10 @@ def test_diag_csv(files, capsys):
 
 
 def test_thermo_csv(files, capsys):
-    assert run(capsys, ["thermo", "--spec", files["spec"], "--temps", "0.5,2"]) == (0, (
+    # Z = e^2500 overflows at T = 1e-4 and is written as inf
+    assert run(capsys, ["thermo", "--spec", files["spec"], "--temps", "1e-4,0.5,2"]) == (0, (
         "T,Z,F,S,E_mean\n"
+        "1.00000000000e-04,inf,-2.50069314718e-01,6.93147180560e-01,-2.50000000000e-01\n"
         "5.00000000000e-01,4.51050386083e+00,-7.53204434039e-01,"
         "1.27535028945e+00,-1.15529289315e-01\n"
         "2.00000000000e+00,4.03129071130e+00,-2.78817320088e+00,"

@@ -281,11 +281,13 @@ class SymmetryTables:
             pos[which, self.reps[kept]] = np.arange(len(kept))
             krow, kcol = pos[:, self._a], pos[:, self._b]
             char, term = np.nonzero((krow >= 0) & (kcol >= 0))
-            n = len(kept)
-            rows, cols, at = union(n, np.stack([krow * n + kcol, kcol * n + krow])[:, char, term])
+            n, r, c = len(kept), krow[char, term], kcol[char, term]
+            rows, cols, at = union(n, np.stack([r * n + c, c * n + r]))
+            at = at[0].copy()                   # the terms' own keys; the mirrors' are freed
+            at.flags.writeable = False
             turn = self.t[chars[char], self._to_rep[term]]
             self._gathers[key] = (Pattern(n, rows, cols), which, term.astype(np.int32),
-                                  turn.astype(np.min_scalar_type(len(self.root) - 1)), at[0])
+                                  turn.astype(np.min_scalar_type(len(self.root) - 1)), at)
         return self._gathers[key]
 
 
@@ -329,6 +331,7 @@ def symmetry_blocks(M: SectorMatrix, tables: SymmetryTables) -> tuple[SectorMatr
     pattern, which, term, turn, at = t.gather(chars)
     v = M.vals[t.hit] * t.factor
     K = sum_at(at, v[term] * t.root[turn], len(pattern.rows))
+    # + 0.0: -0.0 -> 0.0, as a sum from zero (test_blocks_equal_two_unique_gather_bit_for_bit)
     K = (K / 2 + 0.0) + K[pattern.mirror[0]].conj() / 2
     return pattern.matrix(K), mult[chars][which]
 
@@ -505,8 +508,10 @@ def solve(spec: ChainSpec) -> Spectrum:
     The index work is the chain shape's `ChainPlan`, which `chain_matrix`
     keeps within `thermo.PLAN_BUDGET` entries.  Every call computes values
     alone, in the same order, so its result is the same to the bit cold or
-    warm, and runs every gate on its own values; a one-shot call builds the
-    plan and never reads it again.
+    warm, and runs every gate on its own values.  The saving is for a process
+    that solves one shape again (a coupling scan, `verify
+    --random-trials`); a one-shot call builds the plan once and never reads
+    it again.
 
     Raises DimensionTooLarge, before anything is built, when the sector
     dimension exceeds the cap of `check_cap`.

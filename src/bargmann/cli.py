@@ -84,7 +84,11 @@ def _write_out(args, text: str):
 
 def _load_spec(args) -> ChainSpec:
     spec = ChainSpec.from_file(args.spec)
-    overrides = {k: getattr(args, k) for k in ("mode", "boundary") if getattr(args, k, None)}
+    overrides = {}
+    if getattr(args, "mode", None):
+        overrides["mode"] = args.mode
+    if getattr(args, "boundary", None):
+        overrides["boundary"] = args.boundary
     return dataclasses.replace(spec, **overrides) if overrides else spec
 
 

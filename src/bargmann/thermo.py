@@ -584,7 +584,11 @@ def thermo_sweep(spec: Spectrum, T_grid: Sequence[float]) -> list[ThermoPoint]:
 
 def _f17(x: float) -> str:
     """17 significant digits; inf and NaN as json.dumps writes them."""
-    return f"{x:.16e}" if math.isfinite(x) else json.dumps(x)
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if math.isnan(x):
+        return "NaN"
+    return f"{x:.16e}"
 
 
 def to_json(x) -> str:

@@ -245,7 +245,9 @@ def test_blocks_equal_two_unique_gather_bit_for_bit(spin, n, boundary, mode):
         assert np.array_equal(K.rows, rows) and np.array_equal(K.cols, cols)
         assert K.vals.dtype == vals.dtype and K.vals.tobytes() == vals.tobytes(), couplings
         assert np.array_equal(mult, want_mult)
-        assert_keyed_union(K.pattern)
+        ((*_, at),) = tables._gathers.values()
+        assert_keyed_union(K.pattern, at)
+        assert at.base is None            # the entries of the mirror keys are not kept
         assert len(K.pattern.mirror[1]) == 0
 
 
